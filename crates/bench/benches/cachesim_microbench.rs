@@ -123,8 +123,8 @@ fn bench_end_to_end(c: &mut Criterion) {
             t
         })
     });
-    // Same stream with projections precomputed (what CompiledTrace replay
-    // feeds the hierarchy): isolates the per-access projection cost.
+    // Same stream with projections computed ahead of the timed loop:
+    // isolates the per-access projection cost.
     g.bench_function("demand_stream_precompiled", |b| {
         let mut m = MemorySystem::new(CacheConfig::scaled_default());
         let compiled: Vec<_> = refs.iter().map(|r| m.project(*r)).collect();

@@ -7,8 +7,8 @@
 //! every mutating operation does exactly one such scan — callers get the
 //! way index back and reuse it instead of re-probing.
 //!
-//! The `*_at` methods take precomputed `(set, tag)` projections (from a
-//! compiled trace); the address-taking methods are thin wrappers that
+//! The `*_at` methods take already-computed `(set, tag)` projections
+//! (from a compiled trace's reference); the address-taking methods are thin wrappers that
 //! project first. Both paths share one implementation, so their counter
 //! behaviour is identical by construction.
 //!

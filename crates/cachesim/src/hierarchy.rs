@@ -45,7 +45,7 @@ use crate::prefetcher::{
     DplPrefetcher, HwPrefetcher, PerceptronPrefetcher, PointerChasePrefetcher, StreamPrefetcher,
 };
 use crate::stats::{prefetch_class, MemStats};
-use sp_trace::{AccessKind, CompiledRef, MemRef, VAddr};
+use sp_trace::{AccessKind, CompiledRef, MemRef, Projector, VAddr};
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -124,6 +124,8 @@ impl AccessResult {
 /// ```
 pub struct MemorySystem {
     cfg: CacheConfig,
+    /// Address projection for `cfg`'s geometry.
+    projector: Projector,
     /// Independent simulation lanes sharing this system (1 = scalar).
     /// Caches carry the lane dimension inside their line columns; all
     /// other state is one entry per lane in the vectors below.
@@ -170,6 +172,7 @@ impl MemorySystem {
         let line = cfg.l2.line_size;
         let per_lane_cores = cfg.cores as usize * lanes;
         MemorySystem {
+            projector: Projector::new(cfg.trace_geometry()),
             lanes,
             l1: (0..cfg.cores)
                 .map(|_| SetAssocCache::new_batch(cfg.l1, crate::replacement::Policy::Lru, lanes))
@@ -472,22 +475,14 @@ impl MemorySystem {
     }
 
     /// Compute the cache-address projections of `mref` for this system's
-    /// geometry — what [`sp_trace::CompiledTrace`] precomputes for whole
-    /// traces. The scalar entry points project on the fly and feed the
-    /// same `*_pre` implementations the compiled replay uses, so both
-    /// paths produce identical counters by construction.
+    /// geometry — the same [`Projector`] that [`sp_trace::CompiledTrace`]
+    /// projects its references with. The scalar entry points project on
+    /// the fly and feed the same `*_pre` implementations the compiled
+    /// replay uses, so both paths produce identical counters by
+    /// construction.
+    #[inline]
     pub fn project(&self, mref: MemRef) -> CompiledRef {
-        CompiledRef {
-            vaddr: mref.vaddr,
-            block: self.cfg.l2.block_of(mref.vaddr),
-            l1_set: self.cfg.l1.set_of(mref.vaddr) as u32,
-            l1_tag: self.cfg.l1.tag_of(mref.vaddr),
-            l2_set: self.cfg.l2.set_of(mref.vaddr) as u32,
-            l2_tag: self.cfg.l2.tag_of(mref.vaddr),
-            kind: mref.kind,
-            site: mref.site,
-            outer_iter: 0,
-        }
+        self.projector.project(mref)
     }
 
     /// [`demand_access`](Self::demand_access) with the projections already
@@ -582,10 +577,7 @@ impl MemorySystem {
         debug_assert!(matches!(entity, Entity::Main | Entity::Helper));
         debug_assert_eq!(
             *cr,
-            CompiledRef {
-                outer_iter: cr.outer_iter,
-                ..self.project(cr.mem_ref())
-            },
+            self.project(cr.mem_ref()),
             "projections must match this system's geometry"
         );
         self.drain(lane, now, sink);

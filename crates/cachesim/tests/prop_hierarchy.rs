@@ -5,7 +5,7 @@
 
 use sp_cachesim::{CacheConfig, CacheGeometry, Entity, HitClass, MemorySystem};
 use sp_testkit::{check, gen_vec, SmallRng};
-use sp_trace::MemRef;
+use sp_trace::{CompiledTrace, HotLoopTrace, IterRecord, MemRef, SiteId};
 
 fn tiny_cfg(hw: bool) -> CacheConfig {
     CacheConfig {
@@ -27,6 +27,54 @@ fn script(rng: &mut SmallRng) -> Vec<(u8, u64, u64)> {
             r.gen_range(0u64..64),
         )
     })
+}
+
+/// Compiled replay and the scalar entry points see identical
+/// projections: for random power-of-two geometries and addresses with
+/// high bits set, `CompiledTrace::get` equals `MemorySystem::project`
+/// field by field, and both equal the cache geometry's own mapping.
+#[test]
+fn compiled_get_equals_scalar_projection() {
+    check(64, |rng| {
+        let line = 1u64 << rng.gen_range(0u32..10);
+        let level = |r: &mut SmallRng, max_sets_log2: u32| {
+            let ways = 1u32 << r.gen_range(0u32..3);
+            let sets = 1u64 << r.gen_range(0..max_sets_log2);
+            CacheGeometry::new(sets * ways as u64 * line, ways, line)
+        };
+        let cfg = CacheConfig {
+            l1: level(rng, 8),
+            l2: level(rng, 13),
+            ..CacheConfig::scaled_default()
+        };
+        let mut t = HotLoopTrace::new("prop");
+        let mut addr = |r: &mut SmallRng| MemRef::load(r.next_u64(), SiteId(r.gen_range(0u32..64)));
+        for _ in 0..rng.gen_range(1usize..20) {
+            t.iters.push(IterRecord {
+                backbone: gen_vec(rng, 0..3, &mut addr),
+                inner: gen_vec(rng, 0..6, &mut addr),
+                compute_cycles: 1,
+            });
+        }
+        let m = MemorySystem::new(cfg);
+        let c = CompiledTrace::compile(&t, cfg.trace_geometry());
+        for (i, (_, r)) in t.tagged_refs().enumerate() {
+            let (got, want) = (c.get(i), m.project(*r));
+            assert_eq!(got.vaddr, want.vaddr);
+            assert_eq!(got.block, want.block);
+            assert_eq!(got.l1_set, want.l1_set);
+            assert_eq!(got.l1_tag, want.l1_tag);
+            assert_eq!(got.l2_set, want.l2_set);
+            assert_eq!(got.l2_tag, want.l2_tag);
+            assert_eq!(got.kind, want.kind);
+            assert_eq!(got.site, want.site);
+            assert_eq!(got.block, cfg.l2.block_of(r.vaddr));
+            assert_eq!(got.l1_set as u64, cfg.l1.set_of(r.vaddr));
+            assert_eq!(got.l1_tag, cfg.l1.tag_of(r.vaddr));
+            assert_eq!(got.l2_set as u64, cfg.l2.set_of(r.vaddr));
+            assert_eq!(got.l2_tag, cfg.l2.tag_of(r.vaddr));
+        }
+    });
 }
 
 /// Hit classes partition demand accesses; stats never lose an access.

@@ -119,7 +119,7 @@ pub fn sweep_distances_jobs_with(
 /// [`sweep_distances_jobs_with`] over an already-compiled trace — the
 /// form long-lived services use, compiling once per `(trace, geometry)`
 /// and sweeping many times. All grid points share the `Arc`'d
-/// projections; each worker thread reuses one parked simulator across
+/// compiled trace; each worker thread reuses one parked simulator across
 /// the grid points it claims. Errors if `ct` was compiled for a
 /// different address mapping than `cache_cfg`'s.
 pub fn sweep_compiled_jobs_with(

@@ -106,9 +106,9 @@ fn release_sim(cfg: CacheConfig, sim: MemorySystem) {
     PARKED_SIM.with(|p| *p.borrow_mut() = Some((cfg, sim)));
 }
 
-/// Compile `trace` for the address mapping of `cache_cfg` — the
-/// projections every replay of this (trace, geometry) pair shares. Wrap
-/// the result in an `Arc` to fan it out across sweep grid points.
+/// Compile `trace` for the address mapping of `cache_cfg` — the flat
+/// reference stream every replay of this (trace, geometry) pair shares.
+/// Wrap the result in an `Arc` to fan it out across sweep grid points.
 pub fn compile_trace(trace: &HotLoopTrace, cache_cfg: &CacheConfig) -> CompiledTrace {
     let _sp = sp_obs::span!("compile", refs = trace.total_refs());
     CompiledTrace::compile(trace, cache_cfg.trace_geometry())
@@ -184,8 +184,8 @@ pub fn run_original_passes(
 }
 
 /// [`run_original_passes`] over an already-compiled trace: every pass
-/// replays the precomputed projections, and the per-thread simulator is
-/// reused. Errors (instead of simulating garbage) if `ct` was compiled
+/// replays the flattened reference stream, and the per-thread simulator
+/// is reused. Errors (instead of simulating garbage) if `ct` was compiled
 /// for a different address mapping than `cache_cfg`'s.
 pub fn run_original_passes_compiled(
     ct: &CompiledTrace,
@@ -340,7 +340,8 @@ pub fn run_scheduled(
 }
 
 /// [`run_scheduled`] over an already-compiled trace: both threads replay
-/// the precomputed projections, and the per-thread simulator is reused.
+/// the flattened reference stream, and the per-thread simulator is
+/// reused.
 pub fn run_scheduled_compiled(
     ct: &CompiledTrace,
     cache_cfg: CacheConfig,

@@ -5,10 +5,10 @@
 //! memoized per `(benchmark, scale)` — trace synthesis is deterministic,
 //! so regenerating one per request would only burn time; the handful of
 //! distinct traces is far smaller than the result cache. Compiled traces
-//! (the per-geometry address projections sweeps replay) are memoized one
-//! level further, per `(benchmark, scale, trace digest, geometry)`, so
-//! repeated requests against one cache configuration pay for projection
-//! exactly once.
+//! (the flat, geometry-bound reference streams sweeps replay) are
+//! memoized one level further, per `(benchmark, scale, trace digest,
+//! geometry)`, so repeated requests against one cache configuration pay
+//! for compilation exactly once.
 
 use crate::json::Json;
 use crate::protocol::{scale_name, Command, SimSpec};

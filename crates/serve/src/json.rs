@@ -145,11 +145,11 @@ impl Json {
     }
 
     /// Parse one JSON document; trailing content (other than whitespace)
-    /// is an error.
+    /// and arrays/objects nested more than 128 deep are errors.
     pub fn parse(input: &str) -> Result<Json, String> {
         let bytes = input.as_bytes();
         let mut pos = 0usize;
-        let value = parse_value(bytes, &mut pos)?;
+        let value = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(format!("trailing content at byte {pos}"));
@@ -199,8 +199,22 @@ fn expect(bytes: &[u8], pos: &mut usize, lit: &str) -> Result<(), String> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// Deepest array/object nesting [`Json::parse`] accepts. The parser
+/// recurses once per level, so without a bound a request line of nested
+/// brackets would overflow a worker's stack; protocol messages nest only
+/// a few levels.
+const MAX_DEPTH: usize = 128;
+
+/// Parse the value at `pos`, which sits inside `depth` enclosing arrays
+/// or objects.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(bytes, pos);
+    if matches!(bytes.get(*pos), Some(b'[' | b'{')) && depth >= MAX_DEPTH {
+        return Err(format!(
+            "nesting deeper than {MAX_DEPTH} levels at byte {pos}",
+            pos = *pos
+        ));
+    }
     match bytes.get(*pos) {
         None => Err("unexpected end of input".into()),
         Some(b'n') => expect(bytes, pos, "null").map(|()| Json::Null),
@@ -216,7 +230,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(bytes, pos)?);
+                items.push(parse_value(bytes, pos, depth + 1)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -244,7 +258,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
                     return Err(format!("expected ':' at byte {pos}", pos = *pos));
                 }
                 *pos += 1;
-                let value = parse_value(bytes, pos)?;
+                let value = parse_value(bytes, pos, depth + 1)?;
                 pairs.push((key, value));
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
@@ -436,6 +450,19 @@ mod tests {
         ] {
             assert!(Json::parse(bad).is_err(), "accepted malformed {bad:?}");
         }
+    }
+
+    #[test]
+    fn nesting_is_bounded_not_a_stack_overflow() {
+        let nest =
+            |open: &str, close: &str, n: usize| format!("{}0{}", open.repeat(n), close.repeat(n));
+        for (open, close) in [("[", "]"), ("{\"a\":", "}")] {
+            assert!(Json::parse(&nest(open, close, MAX_DEPTH)).is_ok());
+            let err = Json::parse(&nest(open, close, MAX_DEPTH + 1)).unwrap_err();
+            assert!(err.contains("nesting deeper than"), "{err}");
+        }
+        let err = Json::parse(&"[".repeat(500 * 1024)).unwrap_err();
+        assert!(err.contains("nesting deeper than"), "{err}");
     }
 
     #[test]

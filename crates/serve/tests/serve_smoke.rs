@@ -6,9 +6,14 @@ use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
-/// Start a server on an ephemeral port; returns its address and the
-/// thread running the accept loop (joins once the server drains).
+/// Start a server on an ephemeral loopback port (whatever `cfg.addr`
+/// says); returns its address and the thread running the accept loop
+/// (joins once the server drains).
 fn start(cfg: ServerConfig) -> (SocketAddr, std::thread::JoinHandle<std::io::Result<()>>) {
+    let cfg = ServerConfig {
+        addr: "127.0.0.1:0".to_string(),
+        ..cfg
+    };
     let server = Server::bind(&cfg).expect("bind loopback");
     let addr = server.local_addr();
     (addr, std::thread::spawn(move || server.run()))
@@ -283,6 +288,32 @@ fn timed_out_result_is_still_cached_for_the_retry() {
     let retry = c.roundtrip("{\"type\":\"point\",\"bench\":\"em3d\",\"distance\":4}");
     assert!(ok(&retry), "{retry:?}");
     assert_eq!(cached(&retry), Some(true), "retry served from cache");
+
+    c.roundtrip("{\"type\":\"shutdown\"}");
+    server.join().unwrap().unwrap();
+}
+
+#[test]
+fn deeply_nested_request_gets_an_error_reply() {
+    let (addr, server) = start(ServerConfig {
+        workers: 1,
+        queue: 4,
+        ..ServerConfig::default()
+    });
+    let mut c = Client::connect(addr);
+    // 500 KB of `[` would overflow a worker's stack in an unbounded
+    // recursive-descent parser; the daemon must answer with an error.
+    let reply = c.roundtrip(&"[".repeat(500 * 1024));
+    assert!(!ok(&reply), "{reply:?}");
+    assert_eq!(
+        reply.get("error").and_then(Json::as_str),
+        Some("bad_request"),
+        "{reply:?}"
+    );
+
+    // The connection and the daemon both survive.
+    let pong = c.roundtrip("{\"type\":\"ping\"}");
+    assert!(ok(&pong), "{pong:?}");
 
     c.roundtrip("{\"type\":\"shutdown\"}");
     server.join().unwrap().unwrap();

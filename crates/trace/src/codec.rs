@@ -151,7 +151,9 @@ fn write_ref(w: &mut impl Write, r: &MemRef, prev: &mut i64) -> io::Result<()> {
         r.site.0 as u64 + 1
     };
     write_varint(w, site)?;
-    let delta = r.vaddr as i64 - *prev;
+    // Wrapping, like the decoder's `wrapping_add`: addresses span the
+    // full 64-bit space, so the delta of two of them can overflow.
+    let delta = (r.vaddr as i64).wrapping_sub(*prev);
     write_varint(w, zigzag(delta))?;
     *prev = r.vaddr as i64;
     Ok(())

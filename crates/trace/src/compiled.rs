@@ -1,25 +1,30 @@
-//! Precompiled traces: the cache-address projections of a
-//! [`HotLoopTrace`], computed once per geometry instead of once per
-//! replay.
+//! Precompiled traces: a [`HotLoopTrace`] flattened for replay and bound
+//! to one cache geometry.
 //!
-//! A distance sweep replays the identical trace once per grid point, and
-//! every replay re-derives `block / set / tag` for every reference. A
-//! [`CompiledTrace`] hoists that work out of the hot loop: one pass over
-//! the trace precomputes the per-record projections for a fixed
-//! [`TraceGeometry`] into flat struct-of-arrays storage, and the result
-//! is shared (`Arc`) across all grid points, all passes, and repeated
+//! A distance sweep replays the identical trace once per grid point. A
+//! [`CompiledTrace`] flattens the nested per-iteration records once into
+//! a single reference array plus per-iteration ranges, and the result is
+//! shared (`Arc`) across all grid points, all passes, and repeated
 //! service requests.
 //!
-//! The projections are only valid for the geometry they were compiled
-//! for, so every consumer must call [`CompiledTrace::ensure_geometry`]
-//! (or compare [`CompiledTrace::geometry`]) before replaying — a
-//! mismatch is a typed [`GeometryMismatch`] error, never a silently
-//! wrong simulation.
+//! Each reference is stored as the trace holds it (`vaddr`, `site`,
+//! `kind`: 16 bytes). Its block/set/tag projections are recomputed on
+//! every [`CompiledTrace::get`] by the [`Projector`] for the compiled
+//! geometry — a handful of shifts and masks, cheaper than streaming five
+//! precomputed columns through memory. [`Projector::project`] is also
+//! what the simulator's scalar entry points use, so compiled and scalar
+//! replay agree by construction.
+//!
+//! Replay is only valid against the geometry a trace was compiled for,
+//! so every consumer must call [`CompiledTrace::ensure_geometry`] (or
+//! compare [`CompiledTrace::geometry`]) before replaying — a mismatch is
+//! a typed [`GeometryMismatch`] error, never a silently wrong simulation.
 
 use crate::codec;
 use crate::record::{AccessKind, MemRef, SiteId, VAddr};
 use crate::stream::HotLoopTrace;
 use std::fmt;
+use std::mem::size_of;
 use std::ops::Range;
 
 /// Address-mapping parameters of one cache level: line size and set
@@ -100,7 +105,7 @@ impl fmt::Display for GeometryMismatch {
 
 impl std::error::Error for GeometryMismatch {}
 
-/// One reference with its precomputed cache projections.
+/// One reference with its cache projections.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CompiledRef {
     /// Simulated virtual address (hardware prefetchers train on it).
@@ -119,12 +124,10 @@ pub struct CompiledRef {
     pub kind: AccessKind,
     /// Static reference site.
     pub site: SiteId,
-    /// Outer-loop iteration the reference was issued from.
-    pub outer_iter: u32,
 }
 
 impl CompiledRef {
-    /// The scalar reference this record was compiled from.
+    /// The scalar reference this record was projected from.
     pub fn mem_ref(&self) -> MemRef {
         MemRef {
             vaddr: self.vaddr,
@@ -134,27 +137,95 @@ impl CompiledRef {
     }
 }
 
-/// A [`HotLoopTrace`] compiled for one [`TraceGeometry`]: flat
-/// struct-of-arrays per-reference projections plus per-iteration
-/// metadata (reference ranges, backbone split, compute cycles).
+/// Shift and mask constants of one [`LevelGeometry`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct LevelShifts {
+    line_shift: u32,
+    set_mask: u64,
+    tag_shift: u32,
+}
+
+impl LevelShifts {
+    fn new(g: LevelGeometry) -> Self {
+        let line_shift = g.line_size.trailing_zeros();
+        LevelShifts {
+            line_shift,
+            set_mask: g.sets - 1,
+            tag_shift: line_shift + g.sets.trailing_zeros(),
+        }
+    }
+
+    #[inline]
+    fn set_of(self, addr: VAddr) -> u32 {
+        ((addr >> self.line_shift) & self.set_mask) as u32
+    }
+
+    #[inline]
+    fn tag_of(self, addr: VAddr) -> u64 {
+        addr >> self.tag_shift
+    }
+}
+
+/// The projection of references onto one [`TraceGeometry`]: the shift
+/// and mask constants are derived once in [`Projector::new`], so
+/// [`Projector::project`] is branch-free arithmetic on the address.
+///
+/// This is the only place references are projected: the simulator's
+/// scalar entry points and [`CompiledTrace::get`] both call it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Projector {
+    geometry: TraceGeometry,
+    block_mask: u64,
+    l1: LevelShifts,
+    l2: LevelShifts,
+}
+
+impl Projector {
+    /// Derive the projection constants of `geometry`.
+    pub fn new(geometry: TraceGeometry) -> Self {
+        Projector {
+            geometry,
+            block_mask: !(geometry.l2.line_size - 1),
+            l1: LevelShifts::new(geometry.l1),
+            l2: LevelShifts::new(geometry.l2),
+        }
+    }
+
+    /// The geometry this projector maps onto.
+    pub fn geometry(&self) -> TraceGeometry {
+        self.geometry
+    }
+
+    /// `r` with its block, L1 set/tag and L2 set/tag for this geometry.
+    #[inline]
+    pub fn project(&self, r: MemRef) -> CompiledRef {
+        CompiledRef {
+            vaddr: r.vaddr,
+            block: r.vaddr & self.block_mask,
+            l1_set: self.l1.set_of(r.vaddr),
+            l1_tag: self.l1.tag_of(r.vaddr),
+            l2_set: self.l2.set_of(r.vaddr),
+            l2_tag: self.l2.tag_of(r.vaddr),
+            kind: r.kind,
+            site: r.site,
+        }
+    }
+}
+
+/// A [`HotLoopTrace`] compiled for one [`TraceGeometry`]: the references
+/// in one flat array plus per-iteration metadata (reference ranges,
+/// backbone split, compute cycles).
 ///
 /// Build once with [`CompiledTrace::compile`], wrap in an `Arc`, and
 /// replay from every grid point / pass / request.
 #[derive(Debug, Clone)]
 pub struct CompiledTrace {
-    geometry: TraceGeometry,
+    projector: Projector,
     digest: u64,
     name: String,
-    // Per-reference SoA columns, indexed by flat reference position.
-    vaddr: Vec<VAddr>,
-    block: Vec<VAddr>,
-    l1_set: Vec<u32>,
-    l1_tag: Vec<u64>,
-    l2_set: Vec<u32>,
-    l2_tag: Vec<u64>,
-    kind: Vec<AccessKind>,
-    site: Vec<SiteId>,
-    outer_iter: Vec<u32>,
+    /// Every reference in flat program order (per iteration: backbone,
+    /// then inner).
+    refs: Vec<MemRef>,
     // Per-iteration metadata. `ref_start` has `outer_iters + 1` entries;
     // iteration `i`'s references are `ref_start[i]..ref_start[i+1]`, the
     // first `backbone_len[i]` of which are backbone references.
@@ -167,39 +238,21 @@ impl CompiledTrace {
     /// Compile `trace` for `geometry`. Deterministic: the same trace and
     /// geometry always produce identical arrays.
     pub fn compile(trace: &HotLoopTrace, geometry: TraceGeometry) -> Self {
-        let n = trace.total_refs();
         let iters = trace.outer_iters();
         let mut c = CompiledTrace {
-            geometry,
+            projector: Projector::new(geometry),
             digest: codec::digest(trace),
             name: trace.name.clone(),
-            vaddr: Vec::with_capacity(n),
-            block: Vec::with_capacity(n),
-            l1_set: Vec::with_capacity(n),
-            l1_tag: Vec::with_capacity(n),
-            l2_set: Vec::with_capacity(n),
-            l2_tag: Vec::with_capacity(n),
-            kind: Vec::with_capacity(n),
-            site: Vec::with_capacity(n),
-            outer_iter: Vec::with_capacity(n),
+            refs: Vec::with_capacity(trace.total_refs()),
             ref_start: Vec::with_capacity(iters + 1),
             backbone_len: Vec::with_capacity(iters),
             compute_cycles: Vec::with_capacity(iters),
         };
         c.ref_start.push(0);
-        for (i, it) in trace.iters.iter().enumerate() {
-            for r in it.refs() {
-                c.vaddr.push(r.vaddr);
-                c.block.push(geometry.l2.block_of(r.vaddr));
-                c.l1_set.push(geometry.l1.set_of(r.vaddr) as u32);
-                c.l1_tag.push(geometry.l1.tag_of(r.vaddr));
-                c.l2_set.push(geometry.l2.set_of(r.vaddr) as u32);
-                c.l2_tag.push(geometry.l2.tag_of(r.vaddr));
-                c.kind.push(r.kind);
-                c.site.push(r.site);
-                c.outer_iter.push(i as u32);
-            }
-            c.ref_start.push(c.vaddr.len() as u32);
+        for it in &trace.iters {
+            c.refs.extend_from_slice(&it.backbone);
+            c.refs.extend_from_slice(&it.inner);
+            c.ref_start.push(c.refs.len() as u32);
             c.backbone_len.push(it.backbone.len() as u32);
             c.compute_cycles.push(it.compute_cycles);
         }
@@ -208,7 +261,7 @@ impl CompiledTrace {
 
     /// The geometry this trace was compiled for.
     pub fn geometry(&self) -> TraceGeometry {
-        self.geometry
+        self.projector.geometry()
     }
 
     /// Content digest of the source trace ([`codec::digest`]).
@@ -228,17 +281,27 @@ impl CompiledTrace {
 
     /// Total number of references.
     pub fn total_refs(&self) -> usize {
-        self.vaddr.len()
+        self.refs.len()
+    }
+
+    /// Heap bytes this trace owns: the reference array, the
+    /// per-iteration metadata and the name.
+    pub fn heap_bytes(&self) -> usize {
+        self.refs.capacity() * size_of::<MemRef>()
+            + self.ref_start.capacity() * size_of::<u32>()
+            + self.backbone_len.capacity() * size_of::<u32>()
+            + self.compute_cycles.capacity() * size_of::<u64>()
+            + self.name.capacity()
     }
 
     /// Guard against replaying with the wrong projections: `Ok` only if
     /// `requested` matches the compiled geometry.
     pub fn ensure_geometry(&self, requested: TraceGeometry) -> Result<(), GeometryMismatch> {
-        if self.geometry == requested {
+        if self.geometry() == requested {
             Ok(())
         } else {
             Err(GeometryMismatch {
-                compiled_for: self.geometry,
+                compiled_for: self.geometry(),
                 requested,
             })
         }
@@ -277,20 +340,11 @@ impl CompiledTrace {
         self.compute_cycles[it]
     }
 
-    /// The reference at flat index `i`, reassembled from the columns.
+    /// The reference at flat index `i`, projected onto the compiled
+    /// geometry.
     #[inline]
     pub fn get(&self, i: usize) -> CompiledRef {
-        CompiledRef {
-            vaddr: self.vaddr[i],
-            block: self.block[i],
-            l1_set: self.l1_set[i],
-            l1_tag: self.l1_tag[i],
-            l2_set: self.l2_set[i],
-            l2_tag: self.l2_tag[i],
-            kind: self.kind[i],
-            site: self.site[i],
-            outer_iter: self.outer_iter[i],
-        }
+        self.projector.project(self.refs[i])
     }
 }
 
@@ -328,7 +382,7 @@ mod tests {
         for (iter, r) in t.tagged_refs() {
             let cr = c.get(i);
             assert_eq!(cr.mem_ref(), *r);
-            assert_eq!(cr.outer_iter, iter);
+            assert!(c.iter_refs(iter as usize).contains(&i));
             assert_eq!(cr.block, g.l2.block_of(r.vaddr));
             assert_eq!(cr.l1_set as u64, g.l1.set_of(r.vaddr));
             assert_eq!(cr.l1_tag, g.l1.tag_of(r.vaddr));

@@ -29,7 +29,9 @@ pub mod stream;
 pub mod synth;
 
 pub use codec::{digest as trace_digest, load as load_trace, save as save_trace};
-pub use compiled::{CompiledRef, CompiledTrace, GeometryMismatch, LevelGeometry, TraceGeometry};
+pub use compiled::{
+    CompiledRef, CompiledTrace, GeometryMismatch, LevelGeometry, Projector, TraceGeometry,
+};
 pub use record::{AccessKind, MemRef, SiteId, VAddr};
 pub use rng::SmallRng;
 pub use stream::{HotLoopTrace, IterRecord, TraceStats};

@@ -4,7 +4,10 @@
 //! that crate for the replay workflow).
 
 use sp_testkit::{check, gen_vec, SmallRng};
-use sp_trace::{synth, HotLoopTrace, IterRecord, MemRef};
+use sp_trace::{
+    synth, AccessKind, CompiledTrace, HotLoopTrace, IterRecord, LevelGeometry, MemRef, SiteId,
+    TraceGeometry,
+};
 use std::collections::HashSet;
 
 fn arb_trace(rng: &mut SmallRng) -> HotLoopTrace {
@@ -20,6 +23,85 @@ fn arb_trace(rng: &mut SmallRng) -> HotLoopTrace {
         });
     }
     t
+}
+
+/// A reference anywhere in the 64-bit address space (high bits
+/// included), from any site, of any kind.
+fn arb_wide_ref(rng: &mut SmallRng) -> MemRef {
+    let kind = match rng.gen_range(0u32..3) {
+        0 => AccessKind::Load,
+        1 => AccessKind::Store,
+        _ => AccessKind::Prefetch,
+    };
+    MemRef {
+        vaddr: rng.next_u64(),
+        site: SiteId(rng.next_u64() as u32),
+        kind,
+    }
+}
+
+fn arb_wide_trace(rng: &mut SmallRng) -> HotLoopTrace {
+    let mut t = HotLoopTrace::new("wide");
+    for _ in 0..rng.gen_range(0usize..30) {
+        t.iters.push(IterRecord {
+            backbone: gen_vec(rng, 0..4, arb_wide_ref),
+            inner: gen_vec(rng, 0..8, arb_wide_ref),
+            compute_cycles: rng.next_u64(),
+        });
+    }
+    t
+}
+
+/// Independent power-of-two line sizes and set counts per level.
+fn arb_geometry(rng: &mut SmallRng) -> TraceGeometry {
+    let level = |r: &mut SmallRng| {
+        LevelGeometry::new(1 << r.gen_range(0u32..13), 1 << r.gen_range(0u32..21))
+    };
+    TraceGeometry {
+        l1: level(rng),
+        l2: level(rng),
+    }
+}
+
+/// `CompiledTrace::get` projects every reference exactly as the
+/// per-level reference mapping does, for any geometry and address.
+#[test]
+fn compiled_get_matches_level_mapping() {
+    check(64, |rng| {
+        let t = arb_wide_trace(rng);
+        let g = arb_geometry(rng);
+        let c = CompiledTrace::compile(&t, g);
+        assert_eq!(c.total_refs(), t.total_refs());
+        for (i, (_, r)) in t.tagged_refs().enumerate() {
+            let cr = c.get(i);
+            assert_eq!(cr.mem_ref(), *r);
+            assert_eq!(cr.block, g.l2.block_of(r.vaddr));
+            assert_eq!(cr.l1_set as u64, g.l1.set_of(r.vaddr));
+            assert_eq!(cr.l1_tag, g.l1.tag_of(r.vaddr));
+            assert_eq!(cr.l2_set as u64, g.l2.set_of(r.vaddr));
+            assert_eq!(cr.l2_tag, g.l2.tag_of(r.vaddr));
+        }
+    });
+}
+
+/// A compiled trace keeps at most 16 bytes per reference, plus the
+/// per-iteration metadata (two `u32` and one `u64` per iteration, one
+/// more `u32` range bound) and the name. A per-reference column added
+/// back on top of the trace's own `vaddr`/`site`/`kind` breaks this.
+#[test]
+fn compiled_footprint_is_bounded_per_reference() {
+    check(64, |rng| {
+        let t = arb_wide_trace(rng);
+        let c = CompiledTrace::compile(&t, arb_geometry(rng));
+        let metadata = 16 * c.outer_iters() + 4 + c.name().len();
+        assert!(
+            c.heap_bytes() <= 16 * c.total_refs() + metadata,
+            "{} bytes for {} refs over {} iterations",
+            c.heap_bytes(),
+            c.total_refs(),
+            c.outer_iters()
+        );
+    });
 }
 
 /// Stats are internally consistent for arbitrary traces.

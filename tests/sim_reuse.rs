@@ -1,14 +1,28 @@
 //! Pins the allocation-reuse contract: repeated jobs=1 sweeps must not
 //! rebuild the simulator. `sim_build_count` is a process-global, so this
-//! lives in its own integration binary — other tests in the same process
-//! would perturb the counter.
+//! lives in its own integration binary, and each test holds [`SERIAL`]
+//! for its whole body: the test harness runs tests on parallel threads,
+//! and a build by one test must not land between another's snapshots.
 
 use sp_cachesim::{sim_build_count, CacheConfig};
 use sp_core::{sweep_distances_batched_jobs_with, sweep_distances_jobs, EngineOptions};
 use sp_workloads::{Benchmark, Workload};
+use std::sync::{Mutex, MutexGuard};
+
+static SERIAL: Mutex<()> = Mutex::new(());
+
+/// Exclusive use of the build counter for the caller's scope. A test
+/// that panicked while holding the lock leaves nothing to repair, so a
+/// poisoned lock is taken over.
+fn exclusive_counter() -> MutexGuard<'static, ()> {
+    SERIAL
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 #[test]
 fn jobs1_sweeps_reuse_one_parked_simulator() {
+    let _counter = exclusive_counter();
     let cfg = CacheConfig::scaled_default();
     let trace = Workload::tiny(Benchmark::Em3d).trace();
     let distances = [2u32, 8, 32];
@@ -33,6 +47,7 @@ fn jobs1_sweeps_reuse_one_parked_simulator() {
 
 #[test]
 fn batched_sweeps_reuse_parked_lane_batches() {
+    let _counter = exclusive_counter();
     let cfg = CacheConfig::scaled_default();
     let trace = Workload::tiny(Benchmark::Em3d).trace();
     let opts = EngineOptions::default();
