@@ -333,12 +333,19 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                 *pos += 1;
             }
             Some(_) => {
-                // Consume one UTF-8 scalar (input is a &str, so boundaries
-                // are valid; find the next char boundary).
-                let rest = std::str::from_utf8(&bytes[*pos..]).map_err(|_| "invalid utf-8")?;
-                let c = rest.chars().next().unwrap();
-                out.push(c);
-                *pos += c.len_utf8();
+                // Copy the run up to the next quote or backslash in one
+                // step. Both are ASCII, so they never occur inside a
+                // multi-byte character and the run ends on a char
+                // boundary; validating only the run keeps parsing linear
+                // in the string's length.
+                let run = bytes[*pos..]
+                    .iter()
+                    .position(|&b| b == b'"' || b == b'\\')
+                    .unwrap_or(bytes.len() - *pos);
+                let text =
+                    std::str::from_utf8(&bytes[*pos..*pos + run]).map_err(|_| "invalid utf-8")?;
+                out.push_str(text);
+                *pos += run;
             }
         }
     }
@@ -355,9 +362,13 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
         *pos += 1;
     }
     let text = std::str::from_utf8(&bytes[start..*pos]).map_err(|_| "invalid number")?;
-    text.parse::<f64>()
-        .map(Json::Num)
-        .map_err(|_| format!("invalid number {text:?} at byte {start}"))
+    match text.parse::<f64>() {
+        // An overflowing literal such as `1e999` parses to infinity,
+        // which has no JSON encoding (it would re-encode as `null`).
+        Ok(n) if n.is_finite() => Ok(Json::Num(n)),
+        Ok(_) => Err(format!("number {text:?} out of range at byte {start}")),
+        Err(_) => Err(format!("invalid number {text:?} at byte {start}")),
+    }
 }
 
 #[cfg(test)]
@@ -447,6 +458,8 @@ mod tests {
             "{\"a\":1} extra",
             "\"\\u12\"",
             "\"\\q\"",
+            "1e999",
+            "-1e999",
         ] {
             assert!(Json::parse(bad).is_err(), "accepted malformed {bad:?}");
         }

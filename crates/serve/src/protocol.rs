@@ -131,12 +131,6 @@ pub struct SimSpec {
     /// run carries one sink. Epoch payloads are **never cached** (see
     /// [`Request::cache_key`]), so the knob stays out of the key.
     pub epochs: bool,
-    /// Grid points simulated per trace pass for sweep requests (the
-    /// lane-batched engine; 1 = the scalar per-point path). Purely an
-    /// execution knob: results are bit-identical at every width, so it
-    /// is **excluded from the cache key** — sweeps at different lane
-    /// widths share cached results.
-    pub lanes: usize,
 }
 
 impl SimSpec {
@@ -172,16 +166,6 @@ impl SimSpec {
         if events && epochs {
             return Err("events and epochs are mutually exclusive".into());
         }
-        let lanes = match v.get("lanes") {
-            None => 1,
-            Some(l) => {
-                let l = l.as_u64().ok_or("lanes must be a positive integer")?;
-                if l == 0 || l > 64 {
-                    return Err("lanes must be in 1..=64".into());
-                }
-                l as usize
-            }
-        };
         Ok(SimSpec {
             bench,
             scale,
@@ -190,7 +174,6 @@ impl SimSpec {
             opts,
             events,
             epochs,
-            lanes,
         })
     }
 
@@ -467,28 +450,21 @@ mod tests {
     }
 
     #[test]
-    fn lane_width_is_execution_only_and_shares_the_cache_key() {
+    fn legacy_lanes_key_is_ignored_and_shares_the_cache_key() {
+        // Older clients may still send the removed `lanes` execution
+        // knob; unknown keys are ignored, so any value parses and maps to
+        // the same cached result as the request without it.
         let at = |lanes: &str| {
             Request::parse(&format!(
                 "{{\"type\":\"sweep\",\"distances\":[2,16]{lanes}}}"
             ))
             .unwrap()
         };
-        let scalar = at("");
-        let wide = at(",\"lanes\":8");
-        match (&scalar.cmd, &wide.cmd) {
-            (Command::Sweep { spec: s, .. }, Command::Sweep { spec: w, .. }) => {
-                assert_eq!(s.lanes, 1, "lanes defaults to the scalar path");
-                assert_eq!(w.lanes, 8);
-            }
-            other => panic!("wrong commands {other:?}"),
-        }
-        // Results are bit-identical at every lane width, so both
-        // requests must resolve to one cached entry.
-        assert_eq!(scalar.cache_key(), wide.cache_key());
-        for bad in ["0", "65", "\"four\""] {
-            let line = format!("{{\"type\":\"sweep\",\"lanes\":{bad}}}");
-            assert!(Request::parse(&line).is_err(), "lanes {bad} must reject");
+        let plain = at("");
+        for legacy in [",\"lanes\":8", ",\"lanes\":0"] {
+            let req = at(legacy);
+            assert!(matches!(req.cmd, Command::Sweep { .. }), "{legacy}");
+            assert_eq!(req.cache_key(), plain.cache_key(), "{legacy}");
         }
     }
 

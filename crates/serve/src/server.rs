@@ -31,8 +31,8 @@ use crate::metrics::{hist_rows_json, hist_summary_json, Metrics, StageTimes};
 use crate::protocol::{error_response, ok_response, with_corr, Command, Request};
 use sp_obs::CorrId;
 use sp_runner::{SubmitError, WorkerPool};
-use std::io::{BufRead, BufReader, ErrorKind, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, OnceLock};
 use std::time::{Duration, Instant};
@@ -238,9 +238,20 @@ impl Server {
     }
 }
 
+/// Longest request line the daemon buffers, newline included. A longer
+/// line gets a `bad_request` reply and the connection is closed, so one
+/// client cannot grow a handler's buffer without bound.
+pub const MAX_REQUEST_LINE: usize = 1 << 20;
+
+/// How long a closing connection keeps discarding the client's input
+/// (see [`linger_close`]).
+const LINGER: Duration = Duration::from_secs(2);
+
 /// Per-connection loop: accumulate bytes into a line buffer, serve each
 /// complete line. The 250 ms read timeout is the drain poll interval —
-/// on timeout the partial line is kept, never discarded.
+/// on timeout the partial line is kept, never discarded. Bytes are
+/// buffered raw and decoded once the line is complete, so a timeout
+/// that splits a multi-byte character loses nothing either.
 fn handle_connection(stream: TcpStream, shared: Arc<Shared>) {
     let _ = stream.set_read_timeout(Some(Duration::from_millis(250)));
     let _ = stream.set_nodelay(true);
@@ -249,30 +260,71 @@ fn handle_connection(stream: TcpStream, shared: Arc<Shared>) {
         Err(_) => return,
     };
     let mut reader = BufReader::new(stream);
-    let mut line = String::new();
+    let mut line = Vec::new();
     loop {
-        match reader.read_line(&mut line) {
+        // Never read past the cap: `take` stops inside an overlong line.
+        let room = (MAX_REQUEST_LINE - line.len()) as u64;
+        let (reply, close) = match (&mut reader).take(room).read_until(b'\n', &mut line) {
             Ok(0) => return, // EOF
-            Ok(_) if line.ends_with('\n') => {
-                let (reply, close) = serve_line(&shared, line.trim());
+            Ok(_) if line.ends_with(b"\n") => {
+                let served = match std::str::from_utf8(&line) {
+                    Ok(text) => serve_line(&shared, text.trim()),
+                    Err(_) => (reject(&shared, "request line is not valid UTF-8"), false),
+                };
                 line.clear();
-                if writer
-                    .write_all(reply.as_bytes())
-                    .and_then(|()| writer.write_all(b"\n"))
-                    .is_err()
-                {
-                    return;
-                }
-                if close {
-                    return;
-                }
+                served
             }
-            Ok(_) => {} // partial line without newline; keep accumulating
+            Ok(_) if line.len() >= MAX_REQUEST_LINE => {
+                let detail = format!("request line exceeds {MAX_REQUEST_LINE} bytes");
+                (reject(&shared, &detail), true)
+            }
+            Ok(_) => continue, // partial line without newline; keep accumulating
             Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
                 if shared.draining() {
                     return;
                 }
+                continue;
             }
+            Err(_) => return,
+        };
+        if writer
+            .write_all(reply.as_bytes())
+            .and_then(|()| writer.write_all(b"\n"))
+            .is_err()
+        {
+            return;
+        }
+        if close {
+            linger_close(&mut reader, &writer, &shared);
+            return;
+        }
+    }
+}
+
+/// A `bad_request` reply for a line that never reached the parser,
+/// counted like any other malformed request.
+fn reject(shared: &Shared, detail: &str) -> String {
+    shared.metrics.requests.fetch_add(1, Ordering::Relaxed);
+    shared.metrics.errors.fetch_add(1, Ordering::Relaxed);
+    sp_obs::log_warn!("serve", "rejected request line", detail = detail);
+    error_response(&None, "bad_request", detail)
+}
+
+/// Close a connection without losing the reply just written. Closing a
+/// socket with unread input (the rest of an overlong line) makes the
+/// kernel send a reset, which can discard the reply before the client
+/// reads it. So shut the write side (the client reads the reply, then
+/// EOF) and discard input until the client closes, the daemon drains,
+/// or [`LINGER`] passes.
+fn linger_close(reader: &mut impl Read, writer: &TcpStream, shared: &Shared) {
+    let _ = writer.shutdown(Shutdown::Write);
+    let deadline = Instant::now() + LINGER;
+    let mut discard = [0u8; 8192];
+    while Instant::now() < deadline && !shared.draining() {
+        match reader.read(&mut discard) {
+            Ok(0) => return,
+            Ok(_) => {}
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {}
             Err(_) => return,
         }
     }

@@ -318,3 +318,61 @@ fn deeply_nested_request_gets_an_error_reply() {
     c.roundtrip("{\"type\":\"shutdown\"}");
     server.join().unwrap().unwrap();
 }
+
+#[test]
+fn overlong_request_line_is_rejected_and_the_connection_closed() {
+    let (addr, server) = start(ServerConfig {
+        workers: 1,
+        queue: 4,
+        ..ServerConfig::default()
+    });
+    let mut c = Client::connect(addr);
+    // Twice the cap and no newline: the daemon must stop buffering at
+    // the cap, answer with an error naming it, and hang up.
+    let flood = vec![b'x'; 2 * sp_serve::MAX_REQUEST_LINE];
+    c.writer.write_all(&flood).expect("daemon drains the flood");
+    let reply = c.recv();
+    assert!(!ok(&reply), "{reply:?}");
+    assert_eq!(
+        reply.get("error").and_then(Json::as_str),
+        Some("bad_request"),
+        "{reply:?}"
+    );
+    let detail = reply.get("detail").and_then(Json::as_str).unwrap_or("");
+    assert!(
+        detail.contains(&sp_serve::MAX_REQUEST_LINE.to_string()),
+        "detail must name the limit: {detail:?}"
+    );
+    assert!(c.at_eof(), "connection must close after an overlong line");
+
+    // The daemon itself is unharmed: a fresh connection still answers.
+    let mut fresh = Client::connect(addr);
+    let pong = fresh.roundtrip("{\"type\":\"ping\"}");
+    assert!(ok(&pong), "{pong:?}");
+
+    fresh.roundtrip("{\"type\":\"shutdown\"}");
+    server.join().unwrap().unwrap();
+}
+
+#[test]
+fn partial_line_survives_read_timeouts() {
+    let (addr, server) = start(ServerConfig {
+        workers: 1,
+        queue: 4,
+        ..ServerConfig::default()
+    });
+    let mut c = Client::connect(addr);
+    // Split the line inside the two-byte `é` and pause past the
+    // daemon's 250 ms read timeout: nothing buffered may be dropped.
+    let line = "{\"type\":\"ping\",\"id\":\"é\"}\n".as_bytes();
+    let cut = line.iter().position(|&b| b == 0xC3).unwrap() + 1;
+    c.writer.write_all(&line[..cut]).unwrap();
+    std::thread::sleep(Duration::from_millis(400));
+    c.writer.write_all(&line[cut..]).unwrap();
+    let pong = c.recv();
+    assert!(ok(&pong), "{pong:?}");
+    assert_eq!(pong.get("id").and_then(Json::as_str), Some("é"));
+
+    c.roundtrip("{\"type\":\"shutdown\"}");
+    server.join().unwrap().unwrap();
+}
