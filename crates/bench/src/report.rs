@@ -3,7 +3,7 @@
 //! generators behind `spt report`.
 
 use crate::experiments::Table2Row;
-use sp_cachesim::EpochSeries;
+use sp_cachesim::{EpochSeries, Timeliness};
 use sp_core::{RunnerReport, Sweep, SweepEpochs};
 use std::io::Write;
 use std::path::Path;
@@ -354,8 +354,16 @@ pub fn epoch_report_markdown(
     let series_block = |out: &mut String, title: &str, s: &EpochSeries| {
         out.push_str(&format!("### {title}\n\n```\n"));
         let misses: Vec<u64> = s.epochs.iter().map(|w| w.main[3]).collect();
-        let pollution: Vec<u64> = s.epochs.iter().map(|w| w.total_pollution()).collect();
-        let late: Vec<u64> = s.epochs.iter().map(|w| w.late).collect();
+        let pollution: Vec<u64> = s
+            .epochs
+            .iter()
+            .map(|w| w.lifecycle.total_pollution())
+            .collect();
+        let late: Vec<u64> = s
+            .epochs
+            .iter()
+            .map(|w| w.lifecycle.timeliness[Timeliness::Late.index()])
+            .collect();
         out.push_str(&spark_row("misses", &misses));
         out.push_str(&spark_row("pollution", &pollution));
         out.push_str(&spark_row("late pf", &late));
@@ -381,7 +389,7 @@ pub fn epoch_report_markdown(
         .points
         .iter()
         .flat_map(|s| s.epochs.iter())
-        .map(|w| w.total_pollution())
+        .map(|w| w.lifecycle.total_pollution())
         .max()
         .unwrap_or(0);
     let width = sweep
@@ -396,7 +404,7 @@ pub fn epoch_report_markdown(
         let cells: String = s
             .epochs
             .iter()
-            .map(|w| shade(w.total_pollution(), peak))
+            .map(|w| shade(w.lifecycle.total_pollution(), peak))
             .collect();
         out.push_str(&format!(
             "{mark} {:>width$}  {cells}\n",

@@ -8,13 +8,16 @@
 //! distance controller needs a phase-wise signal to steer on. This
 //! module adds that signal without touching the aggregates.
 //!
-//! [`EpochSink`] is an [`EventSink`] that folds the event stream into
-//! fixed-size windows of [`EpochWindow`]s. Windows advance on
-//! *main-thread references* (via the sink's demand-tick channel), not
-//! on cycles: epoch `i` always means "the main thread's references
-//! `[i*N, (i+1)*N)`", so series at different prefetch distances line
-//! up reference-for-reference — exactly what the per-distance epoch
-//! heatmap in `spt report` compares.
+//! [`EpochSink`] is an [`EventSink`] that cuts the run into fixed-size
+//! [`EpochWindow`]s. Windows advance on *main-thread references* (via
+//! the sink's demand-tick channel), not on cycles: epoch `i` always
+//! means "the main thread's references `[i*N, (i+1)*N)`", so series at
+//! different prefetch distances line up reference-for-reference —
+//! exactly what the per-distance epoch heatmap in `spt report`
+//! compares. The lifecycle slots are not folded a second time: the
+//! sink embeds the same [`LifecycleFold`] as the run summary, and a
+//! window's [`Lifecycle`] is the delta of its running counts between
+//! the window's open and close.
 //!
 //! Invariants the test suite pins:
 //!
@@ -25,14 +28,12 @@
 //! * **Non-perturbing enabled** — the sink only observes; counters are
 //!   bit-identical with and without it (differential suites).
 //! * **Exact refinement** — [`EpochSeries::totals`] folds back to the
-//!   run-aggregate counters exactly: per-thread hit classes, issued /
-//!   first-use prefetch counts, and the three displacement cases.
+//!   run-aggregate counters exactly: per-thread hit classes and the
+//!   [`Lifecycle::agrees_with`] slots.
 
 use crate::clock::Cycle;
-use crate::events::{Event, EventSink, Timeliness};
-use crate::stats::{Entity, HitClass, PollutionStats};
-use sp_trace::VAddr;
-use std::collections::{BTreeMap, HashMap};
+use crate::events::{Event, EventSink, Lifecycle, LifecycleFold};
+use crate::stats::{Entity, HitClass};
 
 /// Default epoch length, in main-thread references.
 pub const DEFAULT_EPOCH_LEN: u64 = 10_000;
@@ -44,16 +45,6 @@ pub const EPOCH_TOP_SETS: usize = 4;
 /// with exactly 1 fill, `[1]` sets with 2–3, `[2]` sets with 4–7, …
 /// capped at `2^(LEN-1)` and up in the last bucket.
 pub const EPOCH_HIST_BUCKETS: usize = 8;
-
-/// Index into the `[l1, total_hit, partial, miss]` hit-class arrays.
-fn class_index(c: HitClass) -> usize {
-    match c {
-        HitClass::L1Hit => 0,
-        HitClass::TotalHit => 1,
-        HitClass::PartialHit => 2,
-        HitClass::TotalMiss => 3,
-    }
-}
 
 /// One fixed-size window of the telemetry series. All counters cover
 /// events observed while this window was current; `top_sets` and
@@ -72,23 +63,10 @@ pub struct EpochWindow {
     pub main: [u64; 4],
     /// Helper-thread hit classes `[l1, total_hit, partial, miss]`.
     pub helper: [u64; 4],
-    /// Prefetches issued, by class (see [`crate::events::PfClass`]).
-    pub issued: [u64; 5],
-    /// Speculative L2 fills, by class.
-    pub filled: [u64; 5],
-    /// First main-thread uses, by class.
-    pub first_uses: [u64; 5],
-    /// Never-used prefetches evicted, by class.
-    pub evicted_unused: [u64; 5],
-    /// The paper's displacement cases `[reuse, unused_helper,
-    /// unused_hw]`.
-    pub pollution: [u64; 3],
-    /// First uses whose fill was still in flight.
-    pub late: u64,
-    /// First uses within the early threshold of their fill.
-    pub on_time: u64,
-    /// First uses past the early threshold (eviction-risk residency).
-    pub early: u64,
+    /// The prefetch lifecycle, displacement cases and timeliness of
+    /// this window: the run's [`LifecycleFold`] counts at the window's
+    /// close minus those at its open.
+    pub lifecycle: Lifecycle,
     /// L2 fills by origin `[demand, helper, hw]`.
     pub l2_fills: [u64; 3],
     /// Peak per-core MSHR occupancy observed at access completion.
@@ -106,41 +84,12 @@ pub struct EpochWindow {
 }
 
 impl EpochWindow {
-    /// Total demand + helper ticks in this window.
-    pub fn ticks(&self) -> u64 {
-        self.refs + self.helper_refs
-    }
-
     /// Main-thread miss rate (totally-missed fraction; 0.0 when empty).
     pub fn miss_rate(&self) -> f64 {
         if self.refs == 0 {
             0.0
         } else {
-            self.main[class_index(HitClass::TotalMiss)] as f64 / self.refs as f64
-        }
-    }
-
-    /// Total displacement events across the three cases.
-    pub fn total_pollution(&self) -> u64 {
-        self.pollution.iter().sum()
-    }
-
-    /// Timeliness bucket accessor by enum, for report loops.
-    pub fn timeliness(&self, t: Timeliness) -> u64 {
-        match t {
-            Timeliness::Late => self.late,
-            Timeliness::OnTime => self.on_time,
-            Timeliness::Early => self.early,
-        }
-    }
-
-    /// Mean MSHR occupancy at completion (0.0 when empty).
-    pub fn mshr_mean(&self) -> f64 {
-        let t = self.ticks();
-        if t == 0 {
-            0.0
-        } else {
-            self.mshr_sum as f64 / t as f64
+            self.main[HitClass::TotalMiss.index()] as f64 / self.refs as f64
         }
     }
 
@@ -153,19 +102,10 @@ impl EpochWindow {
             self.main[i] += other.main[i];
             self.helper[i] += other.helper[i];
         }
-        for i in 0..5 {
-            self.issued[i] += other.issued[i];
-            self.filled[i] += other.filled[i];
-            self.first_uses[i] += other.first_uses[i];
-            self.evicted_unused[i] += other.evicted_unused[i];
-        }
+        self.lifecycle.add(&other.lifecycle);
         for i in 0..3 {
-            self.pollution[i] += other.pollution[i];
             self.l2_fills[i] += other.l2_fills[i];
         }
-        self.late += other.late;
-        self.on_time += other.on_time;
-        self.early += other.early;
         self.mshr_peak = self.mshr_peak.max(other.mshr_peak);
         self.mshr_sum += other.mshr_sum;
     }
@@ -184,6 +124,8 @@ impl EpochWindow {
             .iter()
             .map(|(s, f)| format!("[{s},{f}]"))
             .collect();
+        let l = &self.lifecycle;
+        let [late, on_time, early] = l.timeliness;
         format!(
             "{{{extra}\"epoch\":{},\"refs\":{},\"helper_refs\":{},\
              \"main\":{},\"helper\":{},\"issued\":{},\"filled\":{},\
@@ -196,14 +138,14 @@ impl EpochWindow {
             self.helper_refs,
             arr(&self.main),
             arr(&self.helper),
-            arr(&self.issued),
-            arr(&self.filled),
-            arr(&self.first_uses),
-            arr(&self.evicted_unused),
-            arr(&self.pollution),
-            self.late,
-            self.on_time,
-            self.early,
+            arr(&l.issued),
+            arr(&l.filled),
+            arr(&l.first_uses),
+            arr(&l.evicted_unused),
+            arr(&l.pollution),
+            late,
+            on_time,
+            early,
             arr(&self.l2_fills),
             self.mshr_peak,
             self.mshr_sum,
@@ -240,25 +182,14 @@ impl EpochSeries {
     /// Fold the whole series into one window (index 0, set-shape
     /// fields empty). The numeric fields must equal the run-aggregate
     /// counters exactly — epochs are a refinement of the aggregates,
-    /// not a second truth; `totals_match_run` spells out the mapping.
+    /// not a second truth: the hit classes match the per-thread
+    /// counters and `lifecycle` passes [`Lifecycle::agrees_with`].
     pub fn totals(&self) -> EpochWindow {
         let mut t = EpochWindow::default();
         for w in &self.epochs {
             t.accumulate(w);
         }
         t
-    }
-
-    /// The aggregate [`PollutionStats`] this series folds to (same
-    /// contract as [`crate::events::EventSummary::pollution_stats`]).
-    pub fn pollution_stats(&self) -> PollutionStats {
-        let t = self.totals();
-        PollutionStats {
-            reuse_evictions: t.pollution[0],
-            unused_helper_evictions: t.pollution[1],
-            unused_hw_evictions: t.pollution[2],
-            dead_prefetches: t.evicted_unused.iter().sum(),
-        }
     }
 
     /// Encode the series as NDJSON, one window per line (trailing
@@ -274,8 +205,8 @@ impl EpochSeries {
     }
 }
 
-/// The recording sink: an [`EventSink`] with `DEMAND_TICKS` that folds
-/// the stream into [`EpochWindow`]s and closes a window every
+/// The recording sink: an [`EventSink`] with `DEMAND_TICKS` that feeds
+/// the stream to its [`LifecycleFold`] and closes a window every
 /// `epoch_len` main-thread references. Call [`EpochSink::finish`] after
 /// the run's final drain to collect the [`EpochSeries`] (the partial
 /// last window — including end-of-run `Cycle::MAX` drain events —
@@ -283,16 +214,16 @@ impl EpochSeries {
 #[derive(Debug, Clone)]
 pub struct EpochSink {
     epoch_len: u64,
-    early_threshold: Cycle,
+    /// The run's lifecycle fold. Its pending fills carry *across*
+    /// windows, so a fill in epoch 3 first used in epoch 5 classifies
+    /// (and counts) in epoch 5, exactly as in the run-level summary.
+    fold: LifecycleFold,
+    /// `fold.counts` when the current window opened.
+    at_open: Lifecycle,
     cur: EpochWindow,
-    /// Fills per set in the current window (BTreeMap: deterministic
-    /// iteration for top-K/histogram materialization).
-    cur_sets: BTreeMap<u32, u64>,
-    /// Speculatively filled blocks awaiting first use — carried
-    /// *across* windows so timeliness matches the run-level fold: a
-    /// fill in epoch 3 first used in epoch 5 classifies (and counts)
-    /// in epoch 5.
-    pending: HashMap<VAddr, Cycle>,
+    /// Fills per L2 set in the current window, indexed by set (grown to
+    /// the highest set seen, zeroed at every close).
+    cur_sets: Vec<u64>,
     done: Vec<EpochWindow>,
 }
 
@@ -303,53 +234,59 @@ impl EpochSink {
     pub fn new(epoch_len: u64, early_threshold: Cycle) -> EpochSink {
         EpochSink {
             epoch_len: epoch_len.max(1),
-            early_threshold,
+            fold: LifecycleFold::new(early_threshold),
+            at_open: Lifecycle::default(),
             cur: EpochWindow::default(),
-            cur_sets: BTreeMap::new(),
-            pending: HashMap::new(),
+            cur_sets: Vec::new(),
             done: Vec::new(),
         }
     }
 
-    /// Materialize the current window's set shape and push it.
+    /// Prefetched blocks filled but neither used nor evicted so far.
+    pub fn unresolved(&self) -> usize {
+        self.fold.unresolved()
+    }
+
+    /// Take the window's lifecycle delta, materialize its set shape and
+    /// push it.
     fn close_window(&mut self) {
-        let sets = std::mem::take(&mut self.cur_sets);
         let mut hist = vec![0u64; EPOCH_HIST_BUCKETS];
-        let mut ranked: Vec<(u32, u64)> = Vec::with_capacity(sets.len());
-        for (set, fills) in sets {
-            let bucket = (63 - fills.leading_zeros() as usize).min(EPOCH_HIST_BUCKETS - 1);
-            hist[bucket] += 1;
-            ranked.push((set, fills));
+        let mut ranked: Vec<(u32, u64)> = Vec::new();
+        for (set, fills) in self.cur_sets.iter_mut().enumerate() {
+            if *fills > 0 {
+                let bucket = (63 - fills.leading_zeros() as usize).min(EPOCH_HIST_BUCKETS - 1);
+                hist[bucket] += 1;
+                ranked.push((set as u32, std::mem::take(fills)));
+            }
         }
         // Hottest first; ties by ascending set index (determinism).
         ranked.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
         ranked.truncate(EPOCH_TOP_SETS);
         let next_index = self.cur.index + 1;
         let mut w = std::mem::take(&mut self.cur);
+        w.lifecycle = self.fold.counts.delta(&self.at_open);
+        self.at_open = self.fold.counts;
         w.top_sets = ranked;
         w.fill_histogram = hist;
         self.done.push(w);
         self.cur.index = next_index;
     }
 
-    /// `true` when the current window has observed nothing at all.
-    fn cur_is_blank(&self) -> bool {
-        let z = EpochWindow {
-            index: self.cur.index,
-            ..EpochWindow::default()
-        };
-        self.cur == z && self.cur_sets.is_empty()
-    }
-
     /// Finish recording: close the final partial window (if it saw
     /// anything) and return the series.
     pub fn finish(mut self) -> EpochSeries {
-        if !self.cur_is_blank() {
+        // An L2 fill always bumps `cur.l2_fills`, so a blank `cur` and
+        // unchanged counts mean the window saw nothing at all.
+        let blank = EpochWindow {
+            index: self.cur.index,
+            ..EpochWindow::default()
+        };
+        if self.cur != blank || self.fold.counts != self.at_open {
             self.close_window();
         }
         EpochSeries {
             epoch_len: self.epoch_len,
-            early_threshold: self.early_threshold,
+            early_threshold: self.fold.early_threshold,
             epochs: self.done,
         }
     }
@@ -360,45 +297,19 @@ impl EventSink for EpochSink {
     const DEMAND_TICKS: bool = true;
 
     fn emit(&mut self, ev: Event) {
-        match ev {
-            Event::PrefetchIssued { class, .. } => self.cur.issued[class.index()] += 1,
-            Event::PrefetchFilled {
-                class, block, at, ..
-            } => {
-                self.cur.filled[class.index()] += 1;
-                self.pending.insert(block, at);
+        self.fold.absorb(&ev);
+        if let Event::L2Fill { origin, set, .. } = ev {
+            self.cur.l2_fills[origin.index()] += 1;
+            let i = set as usize;
+            if i >= self.cur_sets.len() {
+                self.cur_sets.resize(i + 1, 0);
             }
-            Event::PrefetchFirstUse {
-                class, block, at, ..
-            } => {
-                self.cur.first_uses[class.index()] += 1;
-                match self.pending.remove(&block) {
-                    None => self.cur.late += 1,
-                    Some(fill_at) => {
-                        if at.saturating_sub(fill_at) > self.early_threshold {
-                            self.cur.early += 1;
-                        } else {
-                            self.cur.on_time += 1;
-                        }
-                    }
-                }
-            }
-            Event::PrefetchEvictedUnused { class, block, .. } => {
-                self.cur.evicted_unused[class.index()] += 1;
-                self.pending.remove(&block);
-            }
-            Event::PollutionEviction { case, .. } => {
-                self.cur.pollution[case.index()] += 1;
-            }
-            Event::L2Fill { origin, set, .. } => {
-                self.cur.l2_fills[origin.index()] += 1;
-                *self.cur_sets.entry(set).or_insert(0) += 1;
-            }
+            self.cur_sets[i] += 1;
         }
     }
 
     fn demand_tick(&mut self, entity: Entity, class: HitClass, _set: u32, mshr: usize, _at: Cycle) {
-        let i = class_index(class);
+        let i = class.index();
         self.cur.mshr_sum += mshr as u64;
         self.cur.mshr_peak = self.cur.mshr_peak.max(mshr as u64);
         match entity {
@@ -423,7 +334,7 @@ impl EventSink for EpochSink {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::events::PfClass;
+    use crate::events::{PfClass, Timeliness};
 
     fn tick(sink: &mut EpochSink, n: u64, class: HitClass) {
         for _ in 0..n {
@@ -443,9 +354,8 @@ mod tests {
         assert_eq!(series.epochs[0].refs, 10);
         assert_eq!(series.epochs[1].refs, 10);
         assert_eq!(series.epochs[2].refs, 5);
-        // All helper ticks landed in the first window (emitted first in
-        // this synthetic stream? no — emitted after 25 main ticks, so
-        // they land in the final partial window).
+        // The helper ticks came after the 25 main ticks: they land in
+        // the final partial window.
         assert_eq!(series.epochs[2].helper_refs, 7);
         assert_eq!(series.epochs[2].helper[3], 7);
         let t = series.totals();
@@ -491,11 +401,14 @@ mod tests {
             at: 60,
         });
         let series = s.finish();
-        assert_eq!(series.epochs[0].on_time, 0, "fill alone is not a use");
-        assert_eq!(series.epochs[1].on_time, 1, "classified where used");
-        assert_eq!(series.epochs[1].late, 1);
-        let t = series.totals();
-        assert_eq!((t.late, t.on_time, t.early), (1, 1, 0));
+        let on_time = Timeliness::OnTime.index();
+        let w0 = &series.epochs[0].lifecycle;
+        let w1 = &series.epochs[1].lifecycle;
+        assert_eq!(w0.timeliness[on_time], 0, "fill alone is not a use");
+        assert_eq!(w0.filled[0], 1, "the fill counts where it landed");
+        assert_eq!(w1.timeliness[on_time], 1, "classified where used");
+        assert_eq!(w1.timeliness[Timeliness::Late.index()], 1);
+        assert_eq!(series.totals().lifecycle.timeliness, [1, 1, 0]);
     }
 
     #[test]

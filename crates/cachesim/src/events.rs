@@ -37,11 +37,46 @@
 //! whose line it displaced — enough to reconstruct occupancy-by-origin
 //! and distinct-fill churn per set, making Set Affinity observable at
 //! runtime instead of only profiled.
+//!
+//! # One fold
+//!
+//! [`LifecycleFold::absorb`] is the only code that turns the stream
+//! into lifecycle counts (a [`Lifecycle`] block). [`SummarySink`] and
+//! [`RingSink`] embed it through [`EventSummary`], which adds per-set
+//! pressure; the epoch recorder ([`crate::epoch::EpochSink`]) embeds it
+//! too and cuts its windows as [`Lifecycle::delta`]s of the running
+//! counts. [`Lifecycle::agrees_with`] is the one fold-equals-counters
+//! check against [`MemStats`].
 
 use crate::clock::{Cycle, LatencyConfig};
-use crate::stats::{Entity, HitClass, PollutionStats};
+use crate::stats::{Entity, HitClass, MemStats, PollutionStats};
 use sp_trace::VAddr;
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
+
+/// The `ALL` / `index` / `name` trio of a label enum. `ALL` lists the
+/// variants in declaration order, so `index` (the discriminant) is both
+/// the position in `ALL` and the slot in every counter array the enum
+/// indexes; `name` is the wire and Prometheus label spelling.
+macro_rules! labels {
+    ($t:ident: $($v:ident => $name:literal),+ $(,)?) => {
+        impl $t {
+            /// Every value, in index order.
+            pub const ALL: [$t; [$($name),+].len()] = [$($t::$v),+];
+
+            /// Slot in the counter arrays this enum indexes.
+            pub fn index(self) -> usize {
+                self as usize
+            }
+
+            /// Wire/label spelling.
+            pub fn name(self) -> &'static str {
+                match self {
+                    $($t::$v => $name),+
+                }
+            }
+        }
+    };
+}
 
 /// Software/hardware prefetch class, indexing the same
 /// `[helper, stream, dpl, pchase, perceptron]` arrays as
@@ -73,39 +108,10 @@ impl PfClass {
             Entity::HwPerceptron(_) => Some(PfClass::Perceptron),
         }
     }
-
-    /// Index into the `[helper, stream, dpl, pchase, perceptron]` stat
-    /// arrays.
-    pub fn index(self) -> usize {
-        match self {
-            PfClass::Helper => 0,
-            PfClass::Stream => 1,
-            PfClass::Dpl => 2,
-            PfClass::Pchase => 3,
-            PfClass::Perceptron => 4,
-        }
-    }
-
-    /// Wire/label spelling.
-    pub fn name(self) -> &'static str {
-        match self {
-            PfClass::Helper => "helper",
-            PfClass::Stream => "stream",
-            PfClass::Dpl => "dpl",
-            PfClass::Pchase => "pchase",
-            PfClass::Perceptron => "perceptron",
-        }
-    }
-
-    /// All classes, in stat-array order.
-    pub const ALL: [PfClass; 5] = [
-        PfClass::Helper,
-        PfClass::Stream,
-        PfClass::Dpl,
-        PfClass::Pchase,
-        PfClass::Perceptron,
-    ];
 }
+
+labels!(PfClass: Helper => "helper", Stream => "stream", Dpl => "dpl", Pchase => "pchase",
+    Perceptron => "perceptron");
 
 /// Provenance of an L2 line: who brought it in, and was it demanded or
 /// speculative. This is the per-set occupancy taxonomy.
@@ -131,28 +137,9 @@ impl FillOrigin {
             FillOrigin::Hw
         }
     }
-
-    /// Index into `[demand, helper, hw]` arrays.
-    pub fn index(self) -> usize {
-        match self {
-            FillOrigin::Demand => 0,
-            FillOrigin::Helper => 1,
-            FillOrigin::Hw => 2,
-        }
-    }
-
-    /// Wire/label spelling.
-    pub fn name(self) -> &'static str {
-        match self {
-            FillOrigin::Demand => "demand",
-            FillOrigin::Helper => "helper",
-            FillOrigin::Hw => "hw",
-        }
-    }
-
-    /// All origins, in index order.
-    pub const ALL: [FillOrigin; 3] = [FillOrigin::Demand, FillOrigin::Helper, FillOrigin::Hw];
 }
+
+labels!(FillOrigin: Demand => "demand", Helper => "helper", Hw => "hw");
 
 /// The paper's three pollution displacement cases (§II.C), aligned with
 /// the [`PollutionStats`] counters.
@@ -169,36 +156,12 @@ pub enum PollutionCase {
     UnusedHw,
 }
 
-impl PollutionCase {
-    /// Index into `[case1, case2, case3]` arrays.
-    pub fn index(self) -> usize {
-        match self {
-            PollutionCase::Reuse => 0,
-            PollutionCase::UnusedHelper => 1,
-            PollutionCase::UnusedHw => 2,
-        }
-    }
-
-    /// Wire/label spelling.
-    pub fn name(self) -> &'static str {
-        match self {
-            PollutionCase::Reuse => "reuse",
-            PollutionCase::UnusedHelper => "unused_helper",
-            PollutionCase::UnusedHw => "unused_hw",
-        }
-    }
-
-    /// All cases, in index order.
-    pub const ALL: [PollutionCase; 3] = [
-        PollutionCase::Reuse,
-        PollutionCase::UnusedHelper,
-        PollutionCase::UnusedHw,
-    ];
-}
+labels!(PollutionCase: Reuse => "reuse", UnusedHelper => "unused_helper", UnusedHw => "unused_hw");
 
 /// One observability event. Events are raw observations — timeliness
-/// and per-set pressure are *derived* by [`EventSummary::absorb`], so
-/// the stream itself stays cheap to emit and encode.
+/// and per-set pressure are *derived* by [`LifecycleFold::absorb`] and
+/// [`EventSummary::absorb`], so the stream itself stays cheap to emit
+/// and encode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Event {
     /// A prefetch was issued (whether or not it leads to a fill; dropped
@@ -512,20 +475,6 @@ impl SetPressure {
     pub fn total_fills(&self) -> u64 {
         self.fills.iter().sum()
     }
-
-    /// Total pollution events in the set (all cases).
-    pub fn total_pollution(&self) -> u64 {
-        self.pollution.iter().sum()
-    }
-
-    fn merge(&mut self, other: &SetPressure) {
-        for i in 0..3 {
-            self.fills[i] += other.fills[i];
-            self.occupancy[i] += other.occupancy[i];
-            self.pollution[i] += other.pollution[i];
-        }
-        self.evicted_unused += other.evicted_unused;
-    }
 }
 
 /// One row of the pollution-by-set-quartile table: sets ranked by fill
@@ -555,20 +504,23 @@ pub enum Timeliness {
     Early,
 }
 
+labels!(Timeliness: Late => "late", OnTime => "on_time", Early => "early");
+
 /// The default early-use threshold: a prefetch that sits unused for
 /// more than eight memory latencies is classified *early*.
 pub fn default_early_threshold(lat: &LatencyConfig) -> Cycle {
     lat.mem.saturating_mul(8)
 }
 
-/// The deterministic fold over an event stream: lifecycle counts and
-/// accuracy per class, the timeliness histogram, pollution by case, and
-/// per-set pressure. Equal streams fold to equal summaries
-/// (`PartialEq`), which is what the `--jobs` determinism test pins.
-#[derive(Debug, Clone, PartialEq)]
-pub struct EventSummary {
-    /// First-use deltas above this are classified [`Timeliness::Early`].
-    pub early_threshold: Cycle,
+/// The prefetch-lifecycle counter block: issued → filled → first use
+/// or dead, per [`PfClass`], the paper's three displacement cases per
+/// [`PollutionCase`], and first-use timeliness per [`Timeliness`].
+///
+/// This is the one counter layout every lifecycle surface reports: the
+/// run summary, each epoch window (a [`Lifecycle::delta`] of two
+/// snapshots of one [`LifecycleFold`]), and the daemon's totals.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Lifecycle {
     /// Prefetches issued, by class.
     pub issued: [u64; 5],
     /// Speculative L2 fills, by class.
@@ -577,117 +529,65 @@ pub struct EventSummary {
     pub first_uses: [u64; 5],
     /// Never-used prefetches evicted, by class.
     pub evicted_unused: [u64; 5],
-    /// Pollution events, by case `[reuse, unused_helper, unused_hw]`.
+    /// Pollution events, by [`PollutionCase`].
     pub pollution: [u64; 3],
-    /// Useful prefetches whose fill was still in flight at first use.
-    pub late: u64,
-    /// Useful prefetches used within the early threshold of their fill.
-    pub on_time: u64,
-    /// Useful prefetches that idled past the early threshold.
-    pub early: u64,
-    /// Per-set pressure, keyed by L2 set index (only touched sets).
-    pub per_set: BTreeMap<u32, SetPressure>,
-    /// Blocks filled speculatively and neither used nor evicted yet.
-    pending: HashMap<VAddr, Cycle>,
+    /// First uses, by [`Timeliness`].
+    pub timeliness: [u64; 3],
 }
 
-impl EventSummary {
-    /// An empty summary classifying first-use deltas against
-    /// `early_threshold` (see [`default_early_threshold`]).
-    pub fn new(early_threshold: Cycle) -> EventSummary {
-        EventSummary {
-            early_threshold,
-            issued: [0; 5],
-            filled: [0; 5],
-            first_uses: [0; 5],
-            evicted_unused: [0; 5],
-            pollution: [0; 3],
-            late: 0,
-            on_time: 0,
-            early: 0,
-            per_set: BTreeMap::new(),
-            pending: HashMap::new(),
+impl Lifecycle {
+    /// Number of counters in the block (see [`Lifecycle::slots`]).
+    pub const SLOTS: usize = 4 * 5 + 3 + 3;
+
+    /// Every counter, in field order.
+    pub fn slots(&self) -> impl Iterator<Item = u64> + '_ {
+        [
+            &self.issued[..],
+            &self.filled,
+            &self.first_uses,
+            &self.evicted_unused,
+            &self.pollution,
+            &self.timeliness,
+        ]
+        .into_iter()
+        .flatten()
+        .copied()
+    }
+
+    /// Every counter, mutably, in the order of [`Lifecycle::slots`].
+    pub fn slots_mut(&mut self) -> impl Iterator<Item = &mut u64> {
+        [
+            &mut self.issued[..],
+            &mut self.filled,
+            &mut self.first_uses,
+            &mut self.evicted_unused,
+            &mut self.pollution,
+            &mut self.timeliness,
+        ]
+        .into_iter()
+        .flatten()
+    }
+
+    /// Add `other` counter-by-counter.
+    pub fn add(&mut self, other: &Lifecycle) {
+        for (a, b) in self.slots_mut().zip(other.slots()) {
+            *a += b;
         }
     }
 
-    /// Fold one event in.
-    pub fn absorb(&mut self, ev: &Event) {
-        match *ev {
-            Event::PrefetchIssued { class, .. } => self.issued[class.index()] += 1,
-            Event::PrefetchFilled {
-                class, block, at, ..
-            } => {
-                self.filled[class.index()] += 1;
-                self.pending.insert(block, at);
-            }
-            Event::PrefetchFirstUse {
-                class, block, at, ..
-            } => {
-                self.first_uses[class.index()] += 1;
-                match self.pending.remove(&block) {
-                    // No fill seen: the demand overtook the in-flight
-                    // prefetch — late.
-                    None => self.late += 1,
-                    Some(fill_at) => {
-                        if at.saturating_sub(fill_at) > self.early_threshold {
-                            self.early += 1;
-                        } else {
-                            self.on_time += 1;
-                        }
-                    }
-                }
-            }
-            Event::PrefetchEvictedUnused {
-                class, block, set, ..
-            } => {
-                self.evicted_unused[class.index()] += 1;
-                self.pending.remove(&block);
-                self.per_set.entry(set).or_default().evicted_unused += 1;
-            }
-            Event::PollutionEviction { case, set, .. } => {
-                self.pollution[case.index()] += 1;
-                self.per_set.entry(set).or_default().pollution[case.index()] += 1;
-            }
-            Event::L2Fill {
-                origin,
-                victim,
-                set,
-                ..
-            } => {
-                let p = self.per_set.entry(set).or_default();
-                p.fills[origin.index()] += 1;
-                p.occupancy[origin.index()] += 1;
-                if let Some(v) = victim {
-                    p.occupancy[v.index()] -= 1;
-                }
-            }
+    /// The counts accumulated since the `earlier` snapshot of the same
+    /// running fold.
+    pub fn delta(&self, earlier: &Lifecycle) -> Lifecycle {
+        let mut d = *self;
+        for (a, b) in d.slots_mut().zip(earlier.slots()) {
+            *a -= b;
         }
+        d
     }
 
-    /// Fold another (finished) run's summary into this one. Pending
-    /// fills are not carried over — they belong to the other run's
-    /// block-address space.
-    pub fn merge(&mut self, other: &EventSummary) {
-        for i in 0..PfClass::ALL.len() {
-            self.issued[i] += other.issued[i];
-            self.filled[i] += other.filled[i];
-            self.first_uses[i] += other.first_uses[i];
-            self.evicted_unused[i] += other.evicted_unused[i];
-        }
-        for i in 0..PollutionCase::ALL.len() {
-            self.pollution[i] += other.pollution[i];
-        }
-        self.late += other.late;
-        self.on_time += other.on_time;
-        self.early += other.early;
-        for (set, p) in &other.per_set {
-            self.per_set.entry(*set).or_default().merge(p);
-        }
-    }
-
-    /// The aggregate [`PollutionStats`] this event stream folds to.
-    /// Must equal the simulator's own counters exactly — events are a
-    /// refinement of the aggregates, not a second truth.
+    /// The aggregate [`PollutionStats`] these counts fold to. Must equal
+    /// the simulator's own counters exactly — events are a refinement of
+    /// the aggregates, not a second truth.
     pub fn pollution_stats(&self) -> PollutionStats {
         PollutionStats {
             reuse_evictions: self.pollution[PollutionCase::Reuse.index()],
@@ -708,15 +608,160 @@ impl EventSummary {
         }
     }
 
-    /// Prefetched blocks still resident and unused at end of run
-    /// (filled, never demanded, never evicted).
-    pub fn unresolved(&self) -> usize {
-        self.pending.len()
-    }
-
     /// Total pollution events across the three cases.
     pub fn total_pollution(&self) -> u64 {
         self.pollution.iter().sum()
+    }
+
+    /// The fold-equals-counters check: issued and first-use counts equal
+    /// the run's prefetch counters, the three displacement cases and the
+    /// dead-prefetch count equal its [`PollutionStats`], and timeliness
+    /// partitions the first uses. `Err` names the first slot that drifts.
+    pub fn agrees_with(&self, stats: &MemStats) -> Result<(), String> {
+        let uses: u64 = self.first_uses.iter().sum();
+        let checks = [
+            ("issued", self.issued == stats.prefetches_issued),
+            ("first uses", self.first_uses == stats.prefetches_useful),
+            ("pollution", self.pollution_stats() == stats.pollution),
+            ("timeliness", self.timeliness.iter().sum::<u64>() == uses),
+        ];
+        match checks.iter().find(|(_, ok)| !ok) {
+            None => Ok(()),
+            Some((slot, _)) => Err(format!("{slot} drifts: folded {self:?}, counted {stats:?}")),
+        }
+    }
+}
+
+/// The one fold of the lifecycle stream into a [`Lifecycle`]. It keeps
+/// the speculatively filled blocks awaiting first use, so a first use
+/// classifies as late (no fill seen), on time, or early (idle past
+/// `early_threshold`) however far apart the fill and the use are.
+#[derive(Debug, Clone, PartialEq)]
+pub struct LifecycleFold {
+    /// First-use deltas above this are classified [`Timeliness::Early`].
+    pub early_threshold: Cycle,
+    /// The running counts.
+    pub counts: Lifecycle,
+    /// Blocks filled speculatively and neither used nor evicted yet.
+    pending: HashMap<VAddr, Cycle>,
+}
+
+impl LifecycleFold {
+    /// An empty fold classifying first-use deltas against
+    /// `early_threshold` (see [`default_early_threshold`]).
+    pub fn new(early_threshold: Cycle) -> LifecycleFold {
+        LifecycleFold {
+            early_threshold,
+            counts: Lifecycle::default(),
+            pending: HashMap::new(),
+        }
+    }
+
+    /// Fold one event in ([`Event::L2Fill`] carries no lifecycle slot).
+    pub fn absorb(&mut self, ev: &Event) {
+        let c = &mut self.counts;
+        match *ev {
+            Event::PrefetchIssued { class, .. } => c.issued[class.index()] += 1,
+            Event::PrefetchFilled {
+                class, block, at, ..
+            } => {
+                c.filled[class.index()] += 1;
+                self.pending.insert(block, at);
+            }
+            Event::PrefetchFirstUse {
+                class, block, at, ..
+            } => {
+                c.first_uses[class.index()] += 1;
+                let t = match self.pending.remove(&block) {
+                    // No fill seen: the demand overtook the in-flight
+                    // prefetch.
+                    None => Timeliness::Late,
+                    Some(fill_at) if at.saturating_sub(fill_at) > self.early_threshold => {
+                        Timeliness::Early
+                    }
+                    Some(_) => Timeliness::OnTime,
+                };
+                c.timeliness[t.index()] += 1;
+            }
+            Event::PrefetchEvictedUnused { class, block, .. } => {
+                c.evicted_unused[class.index()] += 1;
+                self.pending.remove(&block);
+            }
+            Event::PollutionEviction { case, .. } => c.pollution[case.index()] += 1,
+            Event::L2Fill { .. } => {}
+        }
+    }
+
+    /// Prefetched blocks still resident and unused (filled, never
+    /// demanded, never evicted).
+    pub fn unresolved(&self) -> usize {
+        self.pending.len()
+    }
+}
+
+/// A run's event summary: the [`LifecycleFold`] plus per-set pressure.
+/// Equal streams fold to equal summaries (`PartialEq`), which is what
+/// the `--jobs` determinism test pins.
+#[derive(Debug, Clone, PartialEq)]
+pub struct EventSummary {
+    fold: LifecycleFold,
+    /// Per-set pressure, indexed by L2 set (grown to the highest set
+    /// seen; untouched sets stay all-zero).
+    pub per_set: Vec<SetPressure>,
+}
+
+impl EventSummary {
+    /// An empty summary classifying first-use deltas against
+    /// `early_threshold` (see [`default_early_threshold`]).
+    pub fn new(early_threshold: Cycle) -> EventSummary {
+        EventSummary {
+            fold: LifecycleFold::new(early_threshold),
+            per_set: Vec::new(),
+        }
+    }
+
+    /// Fold one event in.
+    pub fn absorb(&mut self, ev: &Event) {
+        self.fold.absorb(ev);
+        match *ev {
+            Event::PrefetchEvictedUnused { set, .. } => self.set_mut(set).evicted_unused += 1,
+            Event::PollutionEviction { case, set, .. } => {
+                self.set_mut(set).pollution[case.index()] += 1
+            }
+            Event::L2Fill {
+                origin,
+                victim,
+                set,
+                ..
+            } => {
+                let p = self.set_mut(set);
+                p.fills[origin.index()] += 1;
+                p.occupancy[origin.index()] += 1;
+                if let Some(v) = victim {
+                    p.occupancy[v.index()] -= 1;
+                }
+            }
+            _ => {}
+        }
+    }
+
+    fn set_mut(&mut self, set: u32) -> &mut SetPressure {
+        let i = set as usize;
+        if i >= self.per_set.len() {
+            self.per_set.resize(i + 1, SetPressure::default());
+        }
+        &mut self.per_set[i]
+    }
+
+    /// The lifecycle counts folded so far.
+    pub fn lifecycle(&self) -> &Lifecycle {
+        &self.fold.counts
+    }
+
+    /// Prefetched blocks still resident and unused at end of run
+    /// (filled, never demanded, never evicted).
+    pub fn unresolved(&self) -> usize {
+        self.fold.unresolved()
     }
 
     /// Pollution by set quartile: touched sets ranked by fill pressure
@@ -726,16 +771,22 @@ impl EventSummary {
     /// so distances past `SA/2` show their pollution concentrating
     /// there.
     pub fn pollution_by_quartile(&self) -> [QuartileRow; 4] {
-        let mut sets: Vec<(&u32, &SetPressure)> = self.per_set.iter().collect();
-        // BTreeMap iteration is set-ascending, and the sort is stable,
-        // so equal-pressure sets stay in index order.
-        sets.sort_by_key(|(_, p)| std::cmp::Reverse(p.total_fills()));
+        // Every event that touches a set bumps one of its counters, so
+        // the all-zero rows are exactly the untouched sets.
+        let mut sets: Vec<&SetPressure> = self
+            .per_set
+            .iter()
+            .filter(|p| **p != SetPressure::default())
+            .collect();
+        // Set-ascending input and a stable sort keep equal-pressure sets
+        // in index order.
+        sets.sort_by_key(|p| std::cmp::Reverse(p.total_fills()));
         let mut rows = [QuartileRow::default(); 4];
         if sets.is_empty() {
             return rows;
         }
         let chunk = sets.len().div_ceil(4);
-        for (i, (_, p)) in sets.iter().enumerate() {
+        for (i, p) in sets.iter().enumerate() {
             let row = &mut rows[(i / chunk).min(3)];
             row.sets += 1;
             row.fills += p.total_fills();
@@ -797,13 +848,14 @@ mod tests {
             set: 3,
             at: 60,
         });
-        assert_eq!(s.issued, [1, 0, 0, 0, 0]);
-        assert_eq!(s.filled, [1, 1, 0, 0, 0]);
-        assert_eq!(s.first_uses, [2, 1, 0, 0, 0]);
-        assert_eq!((s.late, s.on_time, s.early), (1, 1, 1));
+        let l = s.lifecycle();
+        assert_eq!(l.issued, [1, 0, 0, 0, 0]);
+        assert_eq!(l.filled, [1, 1, 0, 0, 0]);
+        assert_eq!(l.first_uses, [2, 1, 0, 0, 0]);
+        assert_eq!(l.timeliness, [1, 1, 1], "late, on time, early");
         assert_eq!(s.unresolved(), 0);
-        assert!((s.accuracy(PfClass::Helper) - 2.0).abs() < 1e-12);
-        assert_eq!(s.accuracy(PfClass::Dpl), 0.0);
+        assert!((l.accuracy(PfClass::Helper) - 2.0).abs() < 1e-12);
+        assert_eq!(l.accuracy(PfClass::Dpl), 0.0);
     }
 
     #[test]
@@ -827,12 +879,12 @@ mod tests {
             set: 0,
             at: 2,
         });
-        let p = s.pollution_stats();
+        let p = s.lifecycle().pollution_stats();
         assert_eq!(p.reuse_evictions, 1);
         assert_eq!(p.unused_helper_evictions, 1);
         assert_eq!(p.unused_hw_evictions, 0);
         assert_eq!(p.dead_prefetches, 1);
-        assert_eq!(s.total_pollution(), 2);
+        assert_eq!(s.lifecycle().total_pollution(), 2);
     }
 
     #[test]
@@ -850,7 +902,8 @@ mod tests {
             set: 5,
             at: 2,
         });
-        let p = s.per_set.get(&5).unwrap();
+        assert_eq!(s.per_set.len(), 6, "grown to the highest set seen");
+        let p = &s.per_set[5];
         assert_eq!(p.fills, [1, 1, 0]);
         assert_eq!(p.occupancy, [1, 0, 0], "helper line displaced");
         assert_eq!(p.total_fills(), 2);
@@ -902,7 +955,8 @@ mod tests {
         assert_eq!(r.len(), 2);
         assert_eq!(r.dropped(), 3);
         assert_eq!(
-            r.summary.issued[0], 5,
+            r.summary.lifecycle().issued[0],
+            5,
             "summary folds every event, dropped or not"
         );
         let blocks: Vec<VAddr> = r
@@ -975,31 +1029,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_sums_counters_and_per_set_rows() {
-        let mut a = summary();
-        let mut b = summary();
-        a.absorb(&Event::PrefetchIssued {
-            class: PfClass::Helper,
-            block: 0,
-            at: 0,
-        });
-        b.absorb(&Event::PrefetchIssued {
-            class: PfClass::Helper,
-            block: 0,
-            at: 0,
-        });
-        b.absorb(&Event::L2Fill {
-            origin: FillOrigin::Hw,
-            victim: None,
-            set: 9,
-            at: 0,
-        });
-        a.merge(&b);
-        assert_eq!(a.issued[0], 2);
-        assert_eq!(a.per_set.get(&9).unwrap().fills[2], 1);
-    }
-
-    #[test]
     fn taxonomy_labels_and_indices_are_consistent() {
         for (i, c) in PfClass::ALL.iter().enumerate() {
             assert_eq!(c.index(), i);
@@ -1010,8 +1039,17 @@ mod tests {
         for (i, c) in PollutionCase::ALL.iter().enumerate() {
             assert_eq!(c.index(), i);
         }
+        for (i, t) in Timeliness::ALL.iter().enumerate() {
+            assert_eq!(t.index(), i);
+        }
+        // PfClass::of maps each entity onto the MemStats prefetch arrays.
         assert_eq!(PfClass::of(Entity::Main), None);
-        assert_eq!(PfClass::of(Entity::HwStream(1)), Some(PfClass::Stream));
+        let index = |e| PfClass::of(e).map(PfClass::index);
+        assert_eq!(index(Entity::Helper), Some(0));
+        assert_eq!(index(Entity::HwStream(1)), Some(1));
+        assert_eq!(index(Entity::HwDpl(0)), Some(2));
+        assert_eq!(index(Entity::HwPchase(1)), Some(3));
+        assert_eq!(index(Entity::HwPerceptron(0)), Some(4));
         assert_eq!(FillOrigin::of(Entity::HwDpl(0), true), FillOrigin::Hw);
         assert_eq!(FillOrigin::of(Entity::HwDpl(0), false), FillOrigin::Demand);
         assert_eq!(

@@ -44,7 +44,7 @@ use crate::mshr::{InFlight, MshrFile};
 use crate::prefetcher::{
     DplPrefetcher, HwPrefetcher, PerceptronPrefetcher, PointerChasePrefetcher, StreamPrefetcher,
 };
-use crate::stats::{prefetch_class, MemStats};
+use crate::stats::MemStats;
 use sp_trace::{AccessKind, CompiledRef, MemRef, Projector, VAddr};
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -530,11 +530,9 @@ impl MemorySystem {
             .touch_classify_at(cr.l2_set, cr.l2_tag, is_store, is_main)
         {
             if is_main && fresh_prefetch {
-                if let Some(cls) = prefetch_class(filler) {
-                    self.stats.prefetches_useful[cls] += 1;
-                }
-                if S::ENABLED {
-                    if let Some(class) = PfClass::of(filler) {
+                if let Some(class) = PfClass::of(filler) {
+                    self.stats.prefetches_useful[class.index()] += 1;
+                    if S::ENABLED {
                         sink.emit(Event::PrefetchFirstUse {
                             class,
                             block,
@@ -564,13 +562,11 @@ impl MemorySystem {
             self.mshr.lookup(block)
         } {
             if is_main && merged.prefetch {
-                if let Some(cls) = prefetch_class(merged.requester) {
-                    self.stats.prefetches_useful[cls] += 1;
-                }
-                // No PrefetchFilled precedes this FirstUse (the fill is
-                // still in flight): the summary fold classifies it late.
-                if S::ENABLED {
-                    if let Some(class) = PfClass::of(merged.requester) {
+                if let Some(class) = PfClass::of(merged.requester) {
+                    self.stats.prefetches_useful[class.index()] += 1;
+                    // No PrefetchFilled precedes this FirstUse (the fill
+                    // is still in flight): the fold classifies it late.
+                    if S::ENABLED {
                         sink.emit(Event::PrefetchFirstUse {
                             class,
                             block,
@@ -724,11 +720,9 @@ impl MemorySystem {
         now: Cycle,
         sink: &mut S,
     ) {
-        if let Some(cls) = prefetch_class(who) {
-            self.stats.prefetches_issued[cls] += 1;
-        }
-        if S::ENABLED {
-            if let Some(class) = PfClass::of(who) {
+        if let Some(class) = PfClass::of(who) {
+            self.stats.prefetches_issued[class.index()] += 1;
+            if S::ENABLED {
                 sink.emit(Event::PrefetchIssued {
                     class,
                     block,
@@ -1132,12 +1126,10 @@ mod tests {
         assert_eq!(observed, baseline, "attaching a sink must not change stats");
 
         let s = &sink.summary;
-        assert_eq!(s.pollution_stats(), observed.pollution);
-        assert_eq!(s.issued, observed.prefetches_issued);
-        assert_eq!(s.first_uses, observed.prefetches_useful);
+        s.lifecycle().agrees_with(&observed).unwrap();
         let fills: u64 = s
             .per_set
-            .values()
+            .iter()
             .map(crate::events::SetPressure::total_fills)
             .sum();
         assert_eq!(fills, observed.l2_fills);
@@ -1148,7 +1140,10 @@ mod tests {
             refold.absorb(ev);
         }
         assert_eq!(&refold, s);
-        assert!(s.issued[0] > 0 && fills > 0, "workload must be eventful");
+        assert!(
+            s.lifecycle().issued[0] > 0 && fills > 0,
+            "workload must be eventful"
+        );
     }
 
     #[test]

@@ -48,8 +48,8 @@ pub use clock::{Cycle, LatencyConfig};
 pub use config::{CacheConfig, HwBackend, Inclusion};
 pub use epoch::{EpochSeries, EpochSink, EpochWindow, DEFAULT_EPOCH_LEN};
 pub use events::{
-    default_early_threshold, Event, EventSink, EventSummary, FillOrigin, NullSink, PfClass,
-    PollutionCase, QuartileRow, RingSink, SetPressure, SummarySink, Timeliness,
+    default_early_threshold, Event, EventSink, EventSummary, FillOrigin, Lifecycle, LifecycleFold,
+    NullSink, PfClass, PollutionCase, QuartileRow, RingSink, SetPressure, SummarySink, Timeliness,
 };
 pub use geometry::CacheGeometry;
 pub use hierarchy::{sim_build_count, AccessResult, Entity, HitClass, MemorySystem};

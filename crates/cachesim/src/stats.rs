@@ -61,6 +61,14 @@ pub enum HitClass {
     TotalMiss,
 }
 
+impl HitClass {
+    /// Index into `[l1, total_hit, partial, miss]` arrays (declaration
+    /// order).
+    pub fn index(self) -> usize {
+        self as usize
+    }
+}
+
 /// Counters for one thread's demand accesses.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ThreadStats {
@@ -152,18 +160,6 @@ pub struct MemStats {
     pub bus_queued: u64,
 }
 
-/// Index into the per-entity prefetch arrays of [`MemStats`].
-pub fn prefetch_class(e: Entity) -> Option<usize> {
-    match e {
-        Entity::Main => None,
-        Entity::Helper => Some(0),
-        Entity::HwStream(_) => Some(1),
-        Entity::HwDpl(_) => Some(2),
-        Entity::HwPchase(_) => Some(3),
-        Entity::HwPerceptron(_) => Some(4),
-    }
-}
-
 impl MemStats {
     /// Useful-prefetch ratio for an entity class (0.0 if none issued).
     pub fn prefetch_accuracy(&self, class: usize) -> f64 {
@@ -213,16 +209,6 @@ mod tests {
             dead_prefetches: 99,
         };
         assert_eq!(p.total(), 6);
-    }
-
-    #[test]
-    fn prefetch_class_mapping() {
-        assert_eq!(prefetch_class(Entity::Main), None);
-        assert_eq!(prefetch_class(Entity::Helper), Some(0));
-        assert_eq!(prefetch_class(Entity::HwStream(1)), Some(1));
-        assert_eq!(prefetch_class(Entity::HwDpl(0)), Some(2));
-        assert_eq!(prefetch_class(Entity::HwPchase(1)), Some(3));
-        assert_eq!(prefetch_class(Entity::HwPerceptron(0)), Some(4));
     }
 
     #[test]

@@ -272,17 +272,20 @@ fn sweep(a: &Args) -> Result<(), String> {
             "distance", "reuse", "un.help", "un.hw", "dead", "late", "ontime", "early"
         );
         for (p, s) in s.points.iter().zip(&ev.points) {
+            let l = s.lifecycle();
+            let [reuse, unused_helper, unused_hw] = l.pollution;
+            let [late, on_time, early] = l.timeliness;
             println!(
                 "{}{:>8} {:>8} {:>8} {:>8} {:>7} {:>8} {:>7} {:>7}",
                 if p.distance <= bound { " " } else { "!" },
                 p.distance,
-                s.pollution[0],
-                s.pollution[1],
-                s.pollution[2],
-                s.evicted_unused.iter().sum::<u64>(),
-                s.late,
-                s.on_time,
-                s.early,
+                reuse,
+                unused_helper,
+                unused_hw,
+                l.evicted_unused.iter().sum::<u64>(),
+                late,
+                on_time,
+                early,
             );
         }
     }
@@ -328,14 +331,14 @@ fn report(a: &Args) -> Result<(), String> {
     {
         let t = series.totals();
         let m = &run.stats.main;
-        if t.main != [m.l1_hits, m.total_hits, m.partial_hits, m.total_misses]
-            || t.issued != run.stats.prefetches_issued
-            || series.pollution_stats() != run.stats.pollution
-        {
+        if t.main != [m.l1_hits, m.total_hits, m.partial_hits, m.total_misses] {
             return Err(
                 "epoch series totals do not fold to the run counters (recorder drift)".into(),
             );
         }
+        t.lifecycle.agrees_with(&run.stats).map_err(|e| {
+            format!("epoch series totals do not fold to the run counters (recorder drift): {e}")
+        })?;
     }
     let bench = match a.get("trace") {
         Some(_) => trace.name.clone(),
@@ -356,7 +359,8 @@ fn report(a: &Args) -> Result<(), String> {
         "distance", "epochs", "pollution", "late", "early"
     );
     for (p, series) in s.points.iter().zip(&epochs.points) {
-        let t = series.totals();
+        let t = series.totals().lifecycle;
+        let [late, _, early] = t.timeliness;
         println!(
             "{}{:>8} {:>8} {:>10} {:>8} {:>8}",
             if bound.is_none_or(|b| p.distance <= b) {
@@ -367,8 +371,8 @@ fn report(a: &Args) -> Result<(), String> {
             p.distance,
             series.len(),
             t.total_pollution(),
-            t.late,
-            t.early,
+            late,
+            early,
         );
     }
     if let Some(nd) = a.get("ndjson") {
@@ -500,7 +504,7 @@ fn events(a: &Args) -> Result<(), String> {
         sink.dropped()
     );
 
-    let s = &sink.summary;
+    let s = sink.summary.lifecycle();
     println!(
         "\n{:<8} {:>9} {:>9} {:>10} {:>8} {:>9}",
         "class", "issued", "filled", "first_use", "dead", "accuracy"
@@ -517,12 +521,10 @@ fn events(a: &Args) -> Result<(), String> {
             s.accuracy(c) * 100.0
         );
     }
+    let [late, on_time, early] = s.timeliness;
     println!(
-        "\ntimeliness of first uses: {} late, {} on-time, {} early ({} still pending at end)",
-        s.late,
-        s.on_time,
-        s.early,
-        s.unresolved()
+        "\ntimeliness of first uses: {late} late, {on_time} on-time, {early} early ({} still pending at end)",
+        sink.summary.unresolved()
     );
     println!("\npollution evictions (paper's three displacement cases):");
     for case in PollutionCase::ALL {
@@ -538,7 +540,7 @@ fn events(a: &Args) -> Result<(), String> {
         "\n{:<10} {:>6} {:>10} {:>8} {:>8} {:>8} {:>8}",
         "quartile", "sets", "fills", "reuse", "un.help", "un.hw", "dead"
     );
-    for (q, row) in s.pollution_by_quartile().iter().enumerate() {
+    for (q, row) in sink.summary.pollution_by_quartile().iter().enumerate() {
         println!(
             "{:<10} {:>6} {:>10} {:>8} {:>8} {:>8} {:>8}",
             match q {
@@ -556,17 +558,12 @@ fn events(a: &Args) -> Result<(), String> {
         );
     }
 
-    // Differential self-check: the fold of the emitted eviction events
-    // must equal the simulator's own pollution counters exactly. A
-    // mismatch means the event layer lost or double-counted something,
-    // so fail loudly (CI leans on this exit code).
-    let fold = s.pollution_stats();
-    if fold != run.stats.pollution {
-        return Err(format!(
-            "event fold disagrees with simulator counters: folded {fold:?}, counted {:?}",
-            run.stats.pollution
-        ));
-    }
+    // Differential self-check: the event fold must equal the
+    // simulator's own counters exactly. A mismatch means the event
+    // layer lost or double-counted something, so fail loudly (CI leans
+    // on this exit code).
+    s.agrees_with(&run.stats)
+        .map_err(|e| format!("event fold disagrees with simulator counters: {e}"))?;
     println!("\nself-check: event fold matches the simulator's pollution counters");
 
     if let Some(out) = a.get("out") {

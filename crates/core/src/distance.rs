@@ -466,14 +466,13 @@ mod tests {
                 .unwrap();
         assert_eq!(plain, observed, "observing a sweep must not change it");
         assert_eq!(events.points.len(), 2);
-        assert_eq!(
-            events.baseline.pollution_stats(),
-            observed.baseline.stats.pollution
-        );
+        events
+            .baseline
+            .lifecycle()
+            .agrees_with(&observed.baseline.stats)
+            .unwrap();
         for (summary, point) in events.points.iter().zip(&observed.points) {
-            assert_eq!(summary.pollution_stats(), point.run.stats.pollution);
-            assert_eq!(summary.issued, point.run.stats.prefetches_issued);
-            assert_eq!(summary.first_uses, point.run.stats.prefetches_useful);
+            summary.lifecycle().agrees_with(&point.run.stats).unwrap();
         }
         // Event folds are jobs-width deterministic like the sweep itself.
         let par =
@@ -517,9 +516,7 @@ mod tests {
                 t.helper,
                 [h.l1_hits, h.total_hits, h.partial_hits, h.total_misses]
             );
-            assert_eq!(t.issued, run.stats.prefetches_issued);
-            assert_eq!(t.first_uses, run.stats.prefetches_useful);
-            assert_eq!(series.pollution_stats(), run.stats.pollution);
+            t.lifecycle.agrees_with(&run.stats).unwrap();
         }
         // Epoch series are jobs-width deterministic like the sweep.
         let par =

@@ -13,7 +13,9 @@
 use crate::json::Json;
 use crate::protocol::{scale_name, Command, SimSpec};
 use sp_bench::{kernel_row, Scale};
-use sp_cachesim::{EpochSeries, EventSummary, PfClass, PollutionCase, DEFAULT_EPOCH_LEN};
+use sp_cachesim::{
+    EpochSeries, EventSummary, Lifecycle, PfClass, PollutionCase, Timeliness, DEFAULT_EPOCH_LEN,
+};
 use sp_core::{
     compile_trace, recommend_distance, sweep_compiled_jobs_with, sweep_epochs_compiled_jobs_with,
     sweep_events_compiled_jobs_with, Sweep, SweepEpochs, SweepEvents,
@@ -40,87 +42,51 @@ fn scale_index(s: Scale) -> u8 {
     }
 }
 
-/// Aggregate prefetch-lifecycle counters folded over every eventful run
-/// the daemon has executed — the source behind the `sp_events_*` series
-/// of the Prometheus exposition. Cache hits replay a stored payload
-/// without re-simulating, so they do not re-record here: the totals
-/// count simulation work actually performed, not requests answered.
+/// Aggregate prefetch-lifecycle counters folded over many runs: an
+/// atomic mirror of [`Lifecycle`] plus run bookkeeping. The daemon keeps
+/// two — one over eventful runs behind the `sp_events_*` series, one
+/// over epoch-recorded runs behind the `sp_epoch_*` series. Cache hits
+/// replay a stored payload without re-simulating, so they do not
+/// re-record: the totals count simulation work actually performed, not
+/// requests answered (epoch requests bypass the cache, so every one of
+/// them records).
 #[derive(Debug, Default)]
-pub struct EventTotals {
-    /// Eventful runs folded in (baseline plus one per sweep point).
+pub struct LifecycleTotals {
+    /// Runs folded in (baseline plus one per sweep point).
     pub runs: AtomicU64,
-    /// Prefetches issued, indexed by [`PfClass::index`].
-    pub issued: [AtomicU64; 5],
-    /// Prefetch L2 fills, by class.
-    pub filled: [AtomicU64; 5],
-    /// Prefetched blocks first used by the main thread, by class.
-    pub first_uses: [AtomicU64; 5],
-    /// Prefetched blocks evicted before any use, by class.
-    pub evicted_unused: [AtomicU64; 5],
-    /// Pollution evictions, indexed by [`PollutionCase::index`].
-    pub pollution: [AtomicU64; 3],
-    /// First uses whose fill had not completed when the demand arrived.
-    pub late: AtomicU64,
-    /// First uses within the early-threshold window of their fill.
-    pub on_time: AtomicU64,
-    /// First uses that idled in the cache past the early threshold.
-    pub early: AtomicU64,
-}
-
-impl EventTotals {
-    /// Fold one run's event summary into the totals.
-    pub fn record(&self, s: &EventSummary) {
-        self.runs.fetch_add(1, Ordering::Relaxed);
-        for i in 0..PfClass::ALL.len() {
-            self.issued[i].fetch_add(s.issued[i], Ordering::Relaxed);
-            self.filled[i].fetch_add(s.filled[i], Ordering::Relaxed);
-            self.first_uses[i].fetch_add(s.first_uses[i], Ordering::Relaxed);
-            self.evicted_unused[i].fetch_add(s.evicted_unused[i], Ordering::Relaxed);
-        }
-        for i in 0..PollutionCase::ALL.len() {
-            self.pollution[i].fetch_add(s.pollution[i], Ordering::Relaxed);
-        }
-        self.late.fetch_add(s.late, Ordering::Relaxed);
-        self.on_time.fetch_add(s.on_time, Ordering::Relaxed);
-        self.early.fetch_add(s.early, Ordering::Relaxed);
-    }
-}
-
-/// Aggregate epoch-telemetry counters folded over every epoch-recorded
-/// run — the source behind the `sp_epoch_*` families of the Prometheus
-/// exposition. Epoch requests bypass the result cache, so every one of
-/// them records here.
-#[derive(Debug, Default)]
-pub struct EpochTotals {
-    /// Epoch-recorded runs folded in (baseline plus one per point).
-    pub runs: AtomicU64,
-    /// Epoch windows recorded across those runs.
+    /// Epoch windows recorded across those runs (epoch totals only).
     pub windows: AtomicU64,
-    /// Main-thread references covered by those windows.
+    /// Main-thread references covered by those windows (epoch totals
+    /// only).
     pub refs: AtomicU64,
-    /// Pollution evictions, indexed by [`PollutionCase::index`].
-    pub pollution: [AtomicU64; 3],
-    /// First uses whose fill had not completed when the demand arrived.
-    pub late: AtomicU64,
-    /// First uses within the early-threshold window of their fill.
-    pub on_time: AtomicU64,
-    /// First uses that idled in the cache past the early threshold.
-    pub early: AtomicU64,
+    /// The [`Lifecycle::slots`], summed.
+    slots: [AtomicU64; Lifecycle::SLOTS],
 }
 
-impl EpochTotals {
-    /// Fold one run's epoch series into the totals.
-    pub fn record(&self, s: &EpochSeries) {
+impl LifecycleTotals {
+    /// Fold one run's lifecycle counts into the totals.
+    pub fn record(&self, l: &Lifecycle) {
         self.runs.fetch_add(1, Ordering::Relaxed);
-        self.windows.fetch_add(s.len() as u64, Ordering::Relaxed);
-        let t = s.totals();
-        self.refs.fetch_add(t.refs, Ordering::Relaxed);
-        for i in 0..PollutionCase::ALL.len() {
-            self.pollution[i].fetch_add(t.pollution[i], Ordering::Relaxed);
+        for (slot, v) in self.slots.iter().zip(l.slots()) {
+            slot.fetch_add(v, Ordering::Relaxed);
         }
-        self.late.fetch_add(t.late, Ordering::Relaxed);
-        self.on_time.fetch_add(t.on_time, Ordering::Relaxed);
-        self.early.fetch_add(t.early, Ordering::Relaxed);
+    }
+
+    /// Fold one run's epoch series into the totals.
+    pub fn record_series(&self, s: &EpochSeries) {
+        let t = s.totals();
+        self.windows.fetch_add(s.len() as u64, Ordering::Relaxed);
+        self.refs.fetch_add(t.refs, Ordering::Relaxed);
+        self.record(&t.lifecycle);
+    }
+
+    /// The summed lifecycle counts.
+    pub fn lifecycle(&self) -> Lifecycle {
+        let mut l = Lifecycle::default();
+        for (v, slot) in l.slots_mut().zip(&self.slots) {
+            *v = slot.load(Ordering::Relaxed);
+        }
+        l
     }
 }
 
@@ -132,8 +98,8 @@ impl EpochTotals {
 pub struct SimEngine {
     traces: Mutex<HashMap<(u8, u8), Arc<HotLoopTrace>>>,
     compiled: Mutex<HashMap<(u64, TraceGeometry), Arc<CompiledTrace>>>,
-    events: EventTotals,
-    epochs: EpochTotals,
+    events: LifecycleTotals,
+    epochs: LifecycleTotals,
 }
 
 impl SimEngine {
@@ -143,12 +109,12 @@ impl SimEngine {
     }
 
     /// The aggregate event counters (for the Prometheus exposition).
-    pub fn event_totals(&self) -> &EventTotals {
+    pub fn event_totals(&self) -> &LifecycleTotals {
         &self.events
     }
 
     /// The aggregate epoch counters (for the Prometheus exposition).
-    pub fn epoch_totals(&self) -> &EpochTotals {
+    pub fn epoch_totals(&self) -> &LifecycleTotals {
         &self.epochs
     }
 
@@ -235,9 +201,9 @@ impl SimEngine {
                 1,
             )
             .expect("compiled for this request's geometry");
-            self.epochs.record(&epochs.baseline);
+            self.epochs.record_series(&epochs.baseline);
             for point in &epochs.points {
-                self.epochs.record(point);
+                self.epochs.record_series(point);
             }
             let _sp = sp_obs::span!("serialize");
             return sweep_json(spec, bound, &sweep, None, Some(&epochs)).encode();
@@ -252,9 +218,9 @@ impl SimEngine {
                 1,
             )
             .expect("compiled for this request's geometry");
-            self.events.record(&events.baseline);
+            self.events.record(events.baseline.lifecycle());
             for point in &events.points {
-                self.events.record(point);
+                self.events.record(point.lifecycle());
             }
             let _sp = sp_obs::span!("serialize");
             return sweep_json(spec, bound, &sweep, Some(&events), None).encode();
@@ -342,18 +308,19 @@ fn epoch_series_json(s: &EpochSeries) -> Json {
     let col = |f: &dyn Fn(&sp_cachesim::EpochWindow) -> u64| {
         Json::Arr(s.epochs.iter().map(|w| Json::num(f(w) as f64)).collect())
     };
+    let timeliness = |t: Timeliness| col(&|w| w.lifecycle.timeliness[t.index()]);
     Json::obj()
         .push("epoch_len", Json::num(s.epoch_len as f64))
         .push("windows", Json::num(s.len() as f64))
         .push("refs", col(&|w| w.refs))
         .push("misses", col(&|w| w.main[3]))
         .push("partial_hits", col(&|w| w.main[2]))
-        .push("issued", col(&|w| w.issued.iter().sum()))
-        .push("first_uses", col(&|w| w.first_uses.iter().sum()))
-        .push("pollution", col(&|w| w.total_pollution()))
-        .push("late", col(&|w| w.late))
-        .push("on_time", col(&|w| w.on_time))
-        .push("early", col(&|w| w.early))
+        .push("issued", col(&|w| w.lifecycle.issued.iter().sum()))
+        .push("first_uses", col(&|w| w.lifecycle.first_uses.iter().sum()))
+        .push("pollution", col(&|w| w.lifecycle.total_pollution()))
+        .push("late", timeliness(Timeliness::Late))
+        .push("on_time", timeliness(Timeliness::OnTime))
+        .push("early", timeliness(Timeliness::Early))
         .push("l2_fills", col(&|w| w.l2_fills.iter().sum()))
         .push("mshr_peak", col(&|w| w.mshr_peak))
 }
@@ -361,6 +328,7 @@ fn epoch_series_json(s: &EpochSeries) -> Json {
 /// Encode one run's event summary: lifecycle counts by prefetch class,
 /// pollution evictions by case, and the first-use timeliness split.
 fn event_summary_json(s: &EventSummary) -> Json {
+    let l = s.lifecycle();
     let by_class = |vals: &[u64; 5]| {
         let mut o = Json::obj();
         for c in PfClass::ALL {
@@ -370,22 +338,20 @@ fn event_summary_json(s: &EventSummary) -> Json {
     };
     let mut pollution = Json::obj();
     for case in PollutionCase::ALL {
-        pollution = pollution.push(case.name(), Json::num(s.pollution[case.index()] as f64));
+        pollution = pollution.push(case.name(), Json::num(l.pollution[case.index()] as f64));
+    }
+    let mut timeliness = Json::obj();
+    for t in Timeliness::ALL {
+        timeliness = timeliness.push(t.name(), Json::num(l.timeliness[t.index()] as f64));
     }
     Json::obj()
-        .push("issued", by_class(&s.issued))
-        .push("filled", by_class(&s.filled))
-        .push("first_uses", by_class(&s.first_uses))
-        .push("evicted_unused", by_class(&s.evicted_unused))
+        .push("issued", by_class(&l.issued))
+        .push("filled", by_class(&l.filled))
+        .push("first_uses", by_class(&l.first_uses))
+        .push("evicted_unused", by_class(&l.evicted_unused))
         .push("pollution", pollution)
-        .push(
-            "timeliness",
-            Json::obj()
-                .push("late", Json::num(s.late as f64))
-                .push("on_time", Json::num(s.on_time as f64))
-                .push("early", Json::num(s.early as f64)),
-        )
-        .push("helper_accuracy", Json::num(s.accuracy(PfClass::Helper)))
+        .push("timeliness", timeliness)
+        .push("helper_accuracy", Json::num(l.accuracy(PfClass::Helper)))
 }
 
 fn opt_u32(v: Option<u32>) -> Json {
@@ -468,7 +434,7 @@ mod tests {
         // Baseline + one point folded into the daemon totals.
         assert_eq!(engine.events.runs.load(Ordering::Relaxed), 2);
         assert!(
-            engine.events.issued[0].load(Ordering::Relaxed) > 0,
+            engine.events.lifecycle().issued[0] > 0,
             "helper prefetches must be issued"
         );
         let v = Json::parse(&eventful).unwrap();

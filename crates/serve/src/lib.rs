@@ -38,7 +38,7 @@ pub mod protocol;
 pub mod server;
 
 pub use cache::{fnv1a64, ResultCache};
-pub use engine::{EpochTotals, EventTotals, SimEngine};
+pub use engine::{LifecycleTotals, SimEngine};
 pub use json::Json;
 pub use metrics::{Metrics, StageTimes, STAGES};
 pub use prom::{

@@ -13,9 +13,9 @@
 //! log-linear table has thousands of slots); the `+Inf` bucket always
 //! appears, so `histogram_quantile` stays well-formed at zero samples.
 
-use crate::engine::{EpochTotals, EventTotals};
+use crate::engine::LifecycleTotals;
 use crate::metrics::{Metrics, StageTimes, KINDS};
-use sp_cachesim::{PfClass, PollutionCase};
+use sp_cachesim::{PfClass, PollutionCase, Timeliness};
 use sp_obs::LogLinearHist;
 use std::fmt::Write;
 use std::sync::atomic::Ordering;
@@ -34,9 +34,9 @@ pub struct PromSnapshot<'a> {
     /// Request counters and the latency histogram.
     pub metrics: &'a Metrics,
     /// Aggregate event totals from eventful runs.
-    pub events: &'a EventTotals,
+    pub events: &'a LifecycleTotals,
     /// Aggregate epoch-telemetry totals from epoch-recorded runs.
-    pub epochs: &'a EpochTotals,
+    pub epochs: &'a LifecycleTotals,
     /// Daemon uptime, milliseconds.
     pub uptime_ms: u64,
     /// Result-cache entries currently held.
@@ -353,130 +353,109 @@ pub fn render(snap: &PromSnapshot) -> String {
 
     // Aggregate prefetch-event totals. Zero until an eventful request
     // (`"events":true`) executes; cache hits do not re-record.
-    let ev = snap.events;
-    counter(
-        &mut out,
-        "sp_events_runs_total",
-        "Simulation runs folded into the event totals.",
-        ev.runs.load(Ordering::Relaxed),
-    );
-    let by_class = |arr: &[std::sync::atomic::AtomicU64; 5]| -> Vec<(&'static str, u64)> {
-        PfClass::ALL
-            .iter()
-            .map(|c| (c.name(), arr[c.index()].load(Ordering::Relaxed)))
-            .collect()
-    };
-    labelled(
-        &mut out,
-        "sp_events_prefetch_issued_total",
-        "Prefetches issued, by class.",
-        "class",
-        &by_class(&ev.issued),
-    );
-    labelled(
-        &mut out,
-        "sp_events_prefetch_filled_total",
-        "Prefetch L2 fills, by class.",
-        "class",
-        &by_class(&ev.filled),
-    );
-    labelled(
-        &mut out,
-        "sp_events_prefetch_first_use_total",
-        "Prefetched blocks first used by the main thread, by class.",
-        "class",
-        &by_class(&ev.first_uses),
-    );
-    labelled(
-        &mut out,
-        "sp_events_prefetch_evicted_unused_total",
-        "Prefetched blocks evicted before any use, by class.",
-        "class",
-        &by_class(&ev.evicted_unused),
-    );
-    let by_case: Vec<(&str, u64)> = PollutionCase::ALL
-        .iter()
-        .map(|c| (c.name(), ev.pollution[c.index()].load(Ordering::Relaxed)))
-        .collect();
-    labelled(
-        &mut out,
-        "sp_events_pollution_total",
-        "Pollution evictions, by displacement case.",
-        "case",
-        &by_case,
-    );
-    labelled(
-        &mut out,
-        "sp_events_timeliness_total",
-        "Prefetch first uses, by timeliness.",
-        "timeliness",
-        &[
-            ("late", ev.late.load(Ordering::Relaxed)),
-            ("on_time", ev.on_time.load(Ordering::Relaxed)),
-            ("early", ev.early.load(Ordering::Relaxed)),
-        ],
-    );
-
+    render_lifecycle(&mut out, snap.events, false);
     // Aggregate epoch-telemetry totals. Zero until an epoch-recorded
     // request (`"epochs":true`) executes; those bypass the result
     // cache, so every one records. Naming follows the audit of the
     // families above: cumulative counts end `_total`, durations carry
     // an explicit unit suffix — see `names_follow_the_unit_conventions`.
-    let ep = snap.epochs;
+    render_lifecycle(&mut out, snap.epochs, true);
+    out
+}
+
+/// The lifecycle families of one [`LifecycleTotals`]: `sp_events_*`
+/// (runs, the four per-class lifecycle stages, pollution by case,
+/// timeliness) or, for the epoch totals, `sp_epoch_*` (runs, windows,
+/// refs, pollution by case, timeliness). Label values and sample order
+/// walk [`PfClass::ALL`], [`PollutionCase::ALL`] and [`Timeliness::ALL`].
+fn render_lifecycle(out: &mut String, t: &LifecycleTotals, epoch: bool) {
+    let (prefix, noun, scope) = if epoch {
+        ("sp_epoch", "epoch", " in epoch-recorded runs")
+    } else {
+        ("sp_events", "event", "")
+    };
+    let l = t.lifecycle();
     counter(
-        &mut out,
-        "sp_epoch_runs_total",
-        "Simulation runs folded into the epoch totals.",
-        ep.runs.load(Ordering::Relaxed),
+        out,
+        &format!("{prefix}_runs_total"),
+        &format!("Simulation runs folded into the {noun} totals."),
+        t.runs.load(Ordering::Relaxed),
     );
-    counter(
-        &mut out,
-        "sp_epoch_windows_total",
-        "Epoch windows recorded across those runs.",
-        ep.windows.load(Ordering::Relaxed),
-    );
-    counter(
-        &mut out,
-        "sp_epoch_refs_total",
-        "Main-thread references covered by recorded windows.",
-        ep.refs.load(Ordering::Relaxed),
-    );
-    let by_case: Vec<(&str, u64)> = PollutionCase::ALL
+    if epoch {
+        counter(
+            out,
+            "sp_epoch_windows_total",
+            "Epoch windows recorded across those runs.",
+            t.windows.load(Ordering::Relaxed),
+        );
+        counter(
+            out,
+            "sp_epoch_refs_total",
+            "Main-thread references covered by recorded windows.",
+            t.refs.load(Ordering::Relaxed),
+        );
+    } else {
+        for (stage, help, counts) in [
+            ("issued", "Prefetches issued", &l.issued),
+            ("filled", "Prefetch L2 fills", &l.filled),
+            (
+                "first_use",
+                "Prefetched blocks first used by the main thread",
+                &l.first_uses,
+            ),
+            (
+                "evicted_unused",
+                "Prefetched blocks evicted before any use",
+                &l.evicted_unused,
+            ),
+        ] {
+            let samples: Vec<_> = PfClass::ALL
+                .iter()
+                .map(|c| (c.name(), counts[c.index()]))
+                .collect();
+            labelled(
+                out,
+                &format!("sp_events_prefetch_{stage}_total"),
+                &format!("{help}, by class."),
+                "class",
+                &samples,
+            );
+        }
+    }
+    let by_case: Vec<_> = PollutionCase::ALL
         .iter()
-        .map(|c| (c.name(), ep.pollution[c.index()].load(Ordering::Relaxed)))
+        .map(|c| (c.name(), l.pollution[c.index()]))
         .collect();
     labelled(
-        &mut out,
-        "sp_epoch_pollution_total",
-        "Pollution evictions in epoch-recorded runs, by displacement case.",
+        out,
+        &format!("{prefix}_pollution_total"),
+        &format!("Pollution evictions{scope}, by displacement case."),
         "case",
         &by_case,
     );
+    let by_timeliness: Vec<_> = Timeliness::ALL
+        .iter()
+        .map(|t| (t.name(), l.timeliness[t.index()]))
+        .collect();
     labelled(
-        &mut out,
-        "sp_epoch_timeliness_total",
-        "Prefetch first uses in epoch-recorded runs, by timeliness.",
+        out,
+        &format!("{prefix}_timeliness_total"),
+        &format!("Prefetch first uses{scope}, by timeliness."),
         "timeliness",
-        &[
-            ("late", ep.late.load(Ordering::Relaxed)),
-            ("on_time", ep.on_time.load(Ordering::Relaxed)),
-            ("early", ep.early.load(Ordering::Relaxed)),
-        ],
+        &by_timeliness,
     );
-    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{EpochTotals, EventTotals};
     use crate::metrics::{Metrics, STAGES};
 
     #[derive(Default)]
     struct Totals {
         m: Metrics,
-        ev: EventTotals,
-        ep: EpochTotals,
+        ev: LifecycleTotals,
+        ep: LifecycleTotals,
         stages: StageTimes,
     }
 

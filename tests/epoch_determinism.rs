@@ -112,16 +112,10 @@ fn epoch_totals_fold_exactly_to_the_run_counters() {
                 [h.l1_hits, h.total_hits, h.partial_hits, h.total_misses],
                 "{b:?}: helper-thread hit classes must fold exactly"
             );
-            assert_eq!(t.issued, run.stats.prefetches_issued, "{b:?}: issued");
-            assert_eq!(
-                t.first_uses, run.stats.prefetches_useful,
-                "{b:?}: first uses"
-            );
-            assert_eq!(
-                series.pollution_stats(),
-                run.stats.pollution,
-                "{b:?}: displacement cases must fold exactly"
-            );
+            // Issued, first uses, the displacement cases and timeliness.
+            t.lifecycle
+                .agrees_with(&run.stats)
+                .unwrap_or_else(|e| panic!("{b:?}: lifecycle must fold exactly: {e}"));
             // Window bookkeeping: every window but the last is full, and
             // indices are dense.
             for (i, w) in series.epochs.iter().enumerate() {

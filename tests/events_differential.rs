@@ -39,29 +39,14 @@ fn pollution_stats_equal_the_fold_of_eviction_events() {
             // The sink must not perturb the simulation in any way.
             assert_eq!(plain, observed, "{b:?} d={d}: sink changed the run");
             let s = &sink.summary;
-            // The differential checks: aggregate counters == event folds.
-            assert_eq!(
-                s.pollution_stats(),
-                observed.stats.pollution,
-                "{b:?} d={d}: pollution fold"
-            );
-            assert_eq!(
-                s.issued, observed.stats.prefetches_issued,
-                "{b:?} d={d}: issued fold"
-            );
-            assert_eq!(
-                s.first_uses, observed.stats.prefetches_useful,
-                "{b:?} d={d}: first-use fold"
-            );
-            // Timeliness partitions the resolved first uses.
-            let resolved: u64 = s.late + s.on_time + s.early;
-            assert_eq!(
-                resolved,
-                s.first_uses.iter().sum::<u64>(),
-                "{b:?} d={d}: timeliness must partition first uses"
-            );
+            // The differential checks: aggregate counters == event folds
+            // (issued, first uses, pollution cases, dead prefetches, and
+            // timeliness partitioning the first uses).
+            s.lifecycle()
+                .agrees_with(&observed.stats)
+                .unwrap_or_else(|e| panic!("{b:?} d={d}: {e}"));
             // Per-set fills sum to the run's L2 fills.
-            let set_fills: u64 = s.per_set.values().map(|p| p.total_fills()).sum();
+            let set_fills: u64 = s.per_set.iter().map(|p| p.total_fills()).sum();
             assert_eq!(
                 set_fills, observed.stats.l2_fills,
                 "{b:?} d={d}: per-set fill fold"
@@ -84,10 +69,9 @@ fn original_runs_fold_consistently_too() {
         let observed = run_original_passes_compiled_ev(&ct, cfg, 2, &mut sink).unwrap();
         assert_eq!(plain, observed, "{b:?}: sink changed the original run");
         assert!(sink.len() <= 16, "{b:?}: ring respects its bound");
-        let s = &sink.summary;
-        assert_eq!(s.pollution_stats(), observed.stats.pollution, "{b:?}");
-        assert_eq!(s.issued, observed.stats.prefetches_issued, "{b:?}");
+        let s = sink.summary.lifecycle();
+        s.agrees_with(&observed.stats)
+            .unwrap_or_else(|e| panic!("{b:?}: {e}"));
         assert_eq!(s.issued[0], 0, "{b:?}: no helper prefetches");
-        assert_eq!(s.first_uses, observed.stats.prefetches_useful, "{b:?}");
     }
 }

@@ -6,18 +6,22 @@
 //! the same lossless-decomposition contract the original trio obeys.
 //! CI runs this file release-mode as the `lds-smoke` step.
 
-use sp_cachesim::stats::prefetch_class;
-use sp_cachesim::{default_early_threshold, CacheConfig, Entity, HwBackend, SummarySink};
+use sp_cachesim::{default_early_threshold, CacheConfig, Entity, HwBackend, PfClass, SummarySink};
 use sp_core::prelude::*;
 use sp_core::{compile_trace, run_sp_with_compiled, run_sp_with_compiled_ev, EngineOptions};
 use sp_workloads::{KernelKind, ScaleTier, WorkloadBuilder};
 
+/// Index of an entity's prefetch class in the `MemStats` arrays.
+fn class_of(e: Entity) -> usize {
+    PfClass::of(e).map(PfClass::index).unwrap()
+}
+
 /// The prefetch-class indices a backend is allowed to emit under.
 fn active_classes(backend: HwBackend) -> Vec<usize> {
-    let stream = prefetch_class(Entity::HwStream(0)).unwrap();
-    let dpl = prefetch_class(Entity::HwDpl(0)).unwrap();
-    let pchase = prefetch_class(Entity::HwPchase(0)).unwrap();
-    let perceptron = prefetch_class(Entity::HwPerceptron(0)).unwrap();
+    let stream = class_of(Entity::HwStream(0));
+    let dpl = class_of(Entity::HwDpl(0));
+    let pchase = class_of(Entity::HwPchase(0));
+    let perceptron = class_of(Entity::HwPerceptron(0));
     match backend {
         HwBackend::StreamerDpl => vec![stream, dpl],
         HwBackend::Streamer => vec![stream],
@@ -35,9 +39,8 @@ fn hw_classes() -> Vec<usize> {
         Entity::HwPchase(0),
         Entity::HwPerceptron(0),
     ]
-    .iter()
-    .map(|&e| prefetch_class(e).unwrap())
-    .collect()
+    .map(class_of)
+    .to_vec()
 }
 
 /// 4 LDS kernels x every backend: nonzero activity in the backend's own
@@ -72,23 +75,12 @@ fn every_lds_kernel_runs_under_every_backend() {
             }
 
             // Events <-> counter self-check: the fold is lossless.
-            let s = &sink.summary;
-            assert_eq!(s.issued, observed.stats.prefetches_issued, "{ctx}: issued");
-            assert_eq!(
-                s.first_uses, observed.stats.prefetches_useful,
-                "{ctx}: first uses"
-            );
-            assert_eq!(
-                s.pollution_stats(),
-                observed.stats.pollution,
-                "{ctx}: pollution"
-            );
-            let resolved = s.late + s.on_time + s.early;
-            assert_eq!(
-                resolved,
-                s.first_uses.iter().sum::<u64>(),
-                "{ctx}: timeliness must partition first uses"
-            );
+            // Issued, first uses, pollution, and timeliness partitioning
+            // the first uses.
+            sink.summary
+                .lifecycle()
+                .agrees_with(&observed.stats)
+                .unwrap_or_else(|e| panic!("{ctx}: {e}"));
         }
     }
 }
