@@ -9,7 +9,6 @@
 //! * **dynamic+bound** — the same controller clamped by the
 //!   Set-Affinity bound (the hybrid).
 
-use sp_bench::harness::{criterion_group, criterion_main, Criterion};
 use sp_cachesim::CacheConfig;
 use sp_core::prelude::*;
 use sp_core::{run_sp_adaptive, FeedbackController};
@@ -17,7 +16,7 @@ use sp_workloads::{Benchmark, Workload};
 
 const EPOCH: usize = 128;
 
-fn print_series() {
+fn main() {
     let cfg = CacheConfig::scaled_default();
     let trace = Workload::scaled(Benchmark::Em3d).trace();
     let rec = recommend_distance(&trace, &cfg);
@@ -56,26 +55,3 @@ fn print_series() {
     );
     println!();
 }
-
-fn bench(c: &mut Criterion) {
-    print_series();
-    let cfg = CacheConfig::scaled_default();
-    let trace = Workload::scaled(Benchmark::Em3d).trace();
-    let rec = recommend_distance(&trace, &cfg);
-    let bound = rec.max_distance.unwrap();
-    let mut g = c.benchmark_group("ablation/adaptive");
-    g.sample_size(10);
-    g.bench_function("static_bounded", |b| {
-        b.iter(|| run_sp(&trace, cfg, SpParams::from_distance_rp(bound / 2, 0.5)))
-    });
-    g.bench_function("dynamic", |b| {
-        b.iter(|| {
-            let mut p = FeedbackController::new(bound * 8, 0.5);
-            run_sp_adaptive(&trace, cfg, &mut p, EPOCH)
-        })
-    });
-    g.finish();
-}
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

@@ -11,13 +11,12 @@
 //! distances (it is never stalled) but pollutes just as badly past the
 //! bound — the distance bound matters under *either* helper model.
 
-use sp_bench::harness::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sp_cachesim::CacheConfig;
 use sp_core::prelude::*;
 use sp_core::run_sp_with;
 use sp_workloads::{Benchmark, Workload};
 
-fn print_series() {
+fn main() {
     let cfg = CacheConfig::scaled_default();
     let trace = Workload::scaled(Benchmark::Em3d).trace();
     let rec = recommend_distance(&trace, &cfg);
@@ -44,28 +43,3 @@ fn print_series() {
     }
     println!();
 }
-
-fn bench(c: &mut Criterion) {
-    print_series();
-    let cfg = CacheConfig::scaled_default();
-    let trace = Workload::scaled(Benchmark::Em3d).trace();
-    let mut g = c.benchmark_group("ablation/helper_model");
-    g.sample_size(10);
-    for (label, blocking) in [("blocking", true), ("idealized", false)] {
-        g.bench_with_input(
-            BenchmarkId::from_parameter(label),
-            &blocking,
-            |b, &blocking| {
-                let opts = EngineOptions {
-                    blocking_helper: blocking,
-                    ..EngineOptions::default()
-                };
-                b.iter(|| run_sp_with(&trace, cfg, SpParams::new(20, 20), opts))
-            },
-        );
-    }
-    g.finish();
-}
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

@@ -7,12 +7,11 @@
 //! when the prefetchers are counted into the stream, and (b) how SP's
 //! gain and pollution change with the prefetchers on vs. off.
 
-use sp_bench::harness::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sp_cachesim::CacheConfig;
 use sp_core::{helper_set_affinity, original_set_affinity, run_original, run_sp, SpParams};
 use sp_workloads::{Benchmark, Workload};
 
-fn print_series() {
+fn main() {
     let cfg_on = CacheConfig::scaled_default();
     let cfg_off = cfg_on.without_hw_prefetchers();
     println!("\n== Ablation: hardware prefetchers ==");
@@ -41,25 +40,3 @@ fn print_series() {
     }
     println!();
 }
-
-fn bench(c: &mut Criterion) {
-    print_series();
-    let trace = Workload::scaled(Benchmark::Em3d).trace();
-    let mut g = c.benchmark_group("ablation/hw_prefetchers");
-    g.sample_size(10);
-    for (label, cfg) in [
-        ("on", CacheConfig::scaled_default()),
-        (
-            "off",
-            CacheConfig::scaled_default().without_hw_prefetchers(),
-        ),
-    ] {
-        g.bench_with_input(BenchmarkId::from_parameter(label), &cfg, |b, &cfg| {
-            b.iter(|| run_original(&trace, cfg))
-        });
-    }
-    g.finish();
-}
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

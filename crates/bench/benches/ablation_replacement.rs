@@ -7,7 +7,6 @@
 //! replacement instead — the bound still predicts the degradation knee
 //! under recency-based policies, while random replacement blurs it.
 
-use sp_bench::harness::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sp_cachesim::{CacheConfig, Policy};
 use sp_core::{run_original, run_sp, SpParams};
 use sp_workloads::{Benchmark, Workload};
@@ -19,7 +18,7 @@ const POLICIES: [(&str, Policy); 4] = [
     ("plru", Policy::PlruTree),
 ];
 
-fn print_series() {
+fn main() {
     let trace = Workload::scaled(Benchmark::Em3d).trace();
     println!("\n== Ablation: L2 replacement policy (EM3D) ==");
     println!("  policy  distance  runtime_norm  pollution");
@@ -39,20 +38,3 @@ fn print_series() {
     }
     println!();
 }
-
-fn bench(c: &mut Criterion) {
-    print_series();
-    let trace = Workload::scaled(Benchmark::Em3d).trace();
-    let mut g = c.benchmark_group("ablation/replacement");
-    g.sample_size(10);
-    for (name, pol) in POLICIES {
-        let cfg = CacheConfig::scaled_default().with_policy(pol);
-        g.bench_with_input(BenchmarkId::from_parameter(name), &cfg, |b, &cfg| {
-            b.iter(|| run_sp(&trace, cfg, SpParams::from_distance_rp(20, 0.5)))
-        });
-    }
-    g.finish();
-}
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

@@ -7,7 +7,6 @@
 //! point for a helper that executes real loads: with RP = 1 the helper
 //! cannot outrun the main thread at all (it falls behind and jumps).
 
-use sp_bench::harness::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sp_cachesim::CacheConfig;
 use sp_core::{run_original, run_sp, SpParams};
 use sp_workloads::{Benchmark, Workload};
@@ -23,7 +22,7 @@ fn params_for(rp: f64) -> SpParams {
     }
 }
 
-fn print_series() {
+fn main() {
     let trace = Workload::scaled(Benchmark::Em3d).trace();
     let cfg = CacheConfig::scaled_default();
     let base = run_original(&trace, cfg);
@@ -44,20 +43,3 @@ fn print_series() {
     }
     println!();
 }
-
-fn bench(c: &mut Criterion) {
-    print_series();
-    let trace = Workload::scaled(Benchmark::Em3d).trace();
-    let cfg = CacheConfig::scaled_default();
-    let mut g = c.benchmark_group("ablation/rp");
-    g.sample_size(10);
-    for rp in [0.5f64, 1.0] {
-        g.bench_with_input(BenchmarkId::from_parameter(rp), &rp, |b, &rp| {
-            b.iter(|| run_sp(&trace, cfg, params_for(rp)))
-        });
-    }
-    g.finish();
-}
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

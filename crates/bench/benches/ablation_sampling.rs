@@ -7,7 +7,6 @@
 //! estimated minimum (and hence the distance bound) is exact once the
 //! burst length clears the true minimum SA.
 
-use sp_bench::harness::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sp_cachesim::CacheConfig;
 use sp_core::{original_set_affinity, sampled_set_affinity};
 use sp_profiler::BurstSampler;
@@ -15,7 +14,7 @@ use sp_workloads::{Benchmark, Workload};
 
 const BURSTS: [usize; 4] = [64, 256, 1024, 4096];
 
-fn print_series() {
+fn main() {
     let cfg = CacheConfig::scaled_default();
     let trace = Workload::scaled(Benchmark::Em3d).trace();
     let full = original_set_affinity(&trace, cfg.l2);
@@ -39,26 +38,3 @@ fn print_series() {
     }
     println!("  (full-stream bound: {:?})\n", full.distance_bound());
 }
-
-fn bench(c: &mut Criterion) {
-    print_series();
-    let cfg = CacheConfig::scaled_default();
-    let trace = Workload::scaled(Benchmark::Em3d).trace();
-    let mut g = c.benchmark_group("ablation/sampling");
-    g.sample_size(10);
-    g.bench_function("full_stream", |b| {
-        b.iter(|| original_set_affinity(&trace, cfg.l2))
-    });
-    for on in [256usize, 1024] {
-        g.bench_with_input(BenchmarkId::new("sampled", on), &on, |b, &on| {
-            b.iter(|| {
-                let bursts = BurstSampler::new(on, on).sample(&trace);
-                sampled_set_affinity(&bursts, cfg.l2)
-            })
-        });
-    }
-    g.finish();
-}
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

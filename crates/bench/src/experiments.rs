@@ -1,11 +1,10 @@
 //! Drivers for every table and figure of the paper.
 //!
-//! Every driver has a `*_jobs` (or `*_at`) form that fans its
-//! independent simulations out on the `sp_runner` executor and returns
-//! the executor's timing report alongside the artifact; the plain forms
-//! are serial (`jobs = 1`) wrappers kept for callers that don't care.
+//! Every driver (`*_at` or `*_jobs`) fans its independent simulations
+//! out on the `sp_runner` executor and returns the executor's timing
+//! report alongside the artifact; `jobs = 1` is the serial reference.
 
-use sp_cachesim::{CacheConfig, HwBackend};
+use sp_cachesim::CacheConfig;
 use sp_core::prelude::*;
 use sp_core::{estimate_calr, map_jobs, run_jobs, sampled_set_affinity, RunnerReport, Sweep};
 use sp_profiler::{select_benchmarks, BurstSampler, SelectionRow};
@@ -95,11 +94,6 @@ pub struct Table2Row {
     pub rp: f64,
 }
 
-/// Regenerate Table 2 on the given cache configuration.
-pub fn table2(cfg: &CacheConfig) -> Vec<Table2Row> {
-    table2_at(cfg, Scale::Scaled, 1).0
-}
-
 /// One benchmark's Table 2 row: the full profile → Set Affinity →
 /// distance-bound pipeline. Shared by [`table2_at`] (which fans the
 /// three benchmarks out) and the sp-serve `affinity` request handler.
@@ -138,7 +132,7 @@ pub fn kernel_row(cfg: &CacheConfig, scale: Scale, kind: KernelKind) -> Table2Ro
     }
 }
 
-/// [`table2`] at an explicit scale, one fan-out job per benchmark.
+/// Regenerate Table 2 at `scale`, one fan-out job per benchmark.
 pub fn table2_at(cfg: &CacheConfig, scale: Scale, jobs: usize) -> (Vec<Table2Row>, RunnerReport) {
     map_jobs(Benchmark::ALL.to_vec(), |b| table2_row(cfg, scale, b), jobs)
 }
@@ -166,14 +160,10 @@ pub struct Table2PaperRow {
 /// Regenerate Table 2 at **paper scale**: paper inputs on the
 /// `core2_q6600` L2. Slow (~10^8 references for EM3D/MST) but runs in
 /// constant memory. `mst_nodes` lets callers shrink MST (its full trace
-/// is O(n^2) iterations); pass 10_000 for the paper's input.
-pub fn table2_paper(mst_nodes: usize) -> Vec<Table2PaperRow> {
-    table2_paper_jobs(mst_nodes, 1).0
-}
-
-/// [`table2_paper`] with the three benchmark streams fanned out as
-/// independent jobs — each builds its own layout and streams its own
-/// references, so the minute-long analysis parallelizes cleanly.
+/// is O(n^2) iterations); pass 10_000 for the paper's input. The three
+/// benchmark streams are independent jobs — each builds its own layout
+/// and streams its own references, so the minute-long analysis
+/// parallelizes cleanly.
 pub fn table2_paper_jobs(mst_nodes: usize, jobs: usize) -> (Vec<Table2PaperRow>, RunnerReport) {
     use sp_core::runner::Job;
     use sp_core::set_affinity_stream;
@@ -235,12 +225,8 @@ pub const SELECTION_THRESHOLD: f64 = 0.3;
 
 /// The paper's benchmark-selection screen (§IV.B) over the candidate
 /// pool: the three selected applications plus screened-out contrasts.
-pub fn selection(cfg: &CacheConfig) -> Vec<SelectionRow> {
-    selection_jobs(cfg, 1).0
-}
-
-/// [`selection`] with the candidate traces built in parallel (the
-/// expensive part; the screen itself is a cheap pass over the traces).
+/// The candidate traces are built in parallel (the expensive part; the
+/// screen itself is a cheap pass over the traces).
 pub fn selection_jobs(cfg: &CacheConfig, jobs: usize) -> (Vec<SelectionRow>, RunnerReport) {
     let (candidates, report) = map_jobs(
         Candidate::ALL.to_vec(),
@@ -254,40 +240,10 @@ pub fn selection_jobs(cfg: &CacheConfig, jobs: usize) -> (Vec<SelectionRow>, Run
 }
 
 /// Figure 2: EM3D's normalized hot-loop L2 misses, memory accesses, and
-/// runtime over the distance grid.
-pub fn fig2(cfg: CacheConfig) -> Sweep {
-    fig2_at(cfg, Scale::Scaled, 1).0
-}
-
-/// [`fig2`] at an explicit scale, one fan-out job per grid point.
+/// runtime over the distance grid, one fan-out job per grid point.
 pub fn fig2_at(cfg: CacheConfig, scale: Scale, jobs: usize) -> (Sweep, RunnerReport) {
     let w = scale.workload(Benchmark::Em3d);
     sweep_distances_jobs(&w.trace(), cfg, 0.5, distances_for(Benchmark::Em3d), jobs)
-}
-
-/// [`fig2_at`] with the epoch flight recorder attached at the default
-/// window length ([`sp_cachesim::DEFAULT_EPOCH_LEN`]). The
-/// `epoch_overhead` bench suite times this against `fig2_em3d_sweep`
-/// to pin the enabled-recorder cost; the recorder-disabled path is
-/// compiled out entirely and gated by the other suites.
-#[allow(clippy::type_complexity)]
-pub fn fig2_epochs_at(
-    cfg: CacheConfig,
-    scale: Scale,
-    jobs: usize,
-) -> (Sweep, sp_core::SweepEpochs, RunnerReport) {
-    let w = scale.workload(Benchmark::Em3d);
-    let ct = std::sync::Arc::new(sp_core::compile_trace(&w.trace(), &cfg));
-    sp_core::sweep_epochs_compiled_jobs_with(
-        &ct,
-        cfg,
-        0.5,
-        distances_for(Benchmark::Em3d),
-        sp_core::EngineOptions::default(),
-        sp_cachesim::DEFAULT_EPOCH_LEN,
-        jobs,
-    )
-    .expect("compiled against this geometry")
 }
 
 /// Epoch window length of the fig5-MCF flight-recorder fixture.
@@ -336,24 +292,6 @@ pub fn fig5_epoch_fixture(jobs: usize) -> (Sweep, sp_core::SweepEpochs, Option<u
     (sweep, epochs, bound, report)
 }
 
-/// The LDS extension sweep: the hash-join probe kernel on the
-/// pointer-chase backend over the LDS grid — the benchmark suite's
-/// pinned sample of the workload-builder and backend paths (the other
-/// kernels and backends are covered by the CI smoke matrix).
-pub fn lds_sweep_at(cfg: CacheConfig, scale: Scale, jobs: usize) -> (Sweep, RunnerReport) {
-    let cfg = cfg.with_hw_backend(HwBackend::PointerChase);
-    let trace = WorkloadBuilder::new(KernelKind::HashJoin)
-        .tier(scale.tier())
-        .trace();
-    sweep_distances_jobs(
-        &trace,
-        cfg,
-        0.5,
-        distances_for_kernel(KernelKind::HashJoin),
-        jobs,
-    )
-}
-
 /// The behaviour series of Figures 4(a)/5(a)/6(a) plus the runtime curve
 /// of 4(b)/5(b)/6(b) for one benchmark.
 #[derive(Debug, Clone, PartialEq)]
@@ -367,12 +305,8 @@ pub struct BehaviorSeries {
     pub bound: Option<u32>,
 }
 
-/// Figures 4, 5, 6: full behaviour sweep for `b` (RP = 0.5, §V.B).
-pub fn fig_behavior(b: Benchmark, cfg: CacheConfig) -> BehaviorSeries {
-    fig_behavior_at(b, cfg, Scale::Scaled, 1).0
-}
-
-/// [`fig_behavior`] at an explicit scale, one fan-out job per grid point.
+/// Figures 4, 5, 6: full behaviour sweep for `b` (RP = 0.5, §V.B), one
+/// fan-out job per grid point.
 pub fn fig_behavior_at(
     b: Benchmark,
     cfg: CacheConfig,
@@ -400,7 +334,7 @@ mod tests {
     #[test]
     fn distance_grids_bracket_each_bound() {
         let cfg = CacheConfig::scaled_default();
-        for row in table2(&cfg) {
+        for row in table2_at(&cfg, Scale::Scaled, 1).0 {
             let ds = match row.benchmark {
                 "EM3D" => distances_for(Benchmark::Em3d),
                 "MCF" => distances_for(Benchmark::Mcf),
@@ -424,7 +358,7 @@ mod tests {
     #[test]
     fn selection_accepts_paper_trio_and_rejects_matmul() {
         let cfg = CacheConfig::scaled_default();
-        let rows = selection(&cfg);
+        let rows = selection_jobs(&cfg, 1).0;
         assert_eq!(rows.len(), sp_workloads::Candidate::ALL.len());
         for r in &rows {
             match r.name.as_str() {
@@ -465,7 +399,7 @@ mod tests {
     #[test]
     fn table2_matches_paper_shape() {
         let cfg = CacheConfig::scaled_default();
-        let rows = table2(&cfg);
+        let rows = table2_at(&cfg, Scale::Scaled, 1).0;
         assert_eq!(rows.len(), 3);
         let sa_min = |r: &Table2Row| r.sa_range.unwrap().0;
         let em3d = &rows[0];

@@ -23,7 +23,7 @@
 //!
 //! * **Zero cost disabled** — the recorder rides the existing
 //!   `EventSink` generic; `NullSink` replays compile it out entirely
-//!   (the `epoch_overhead` bench suite proves the disabled path, the
+//!   (perfbench's `sweep` workload times the disabled path, the
 //!   demand-tick guard mirrors the `ENABLED` guard).
 //! * **Non-perturbing enabled** — the sink only observes; counters are
 //!   bit-identical with and without it (differential suites).

@@ -9,8 +9,9 @@
 //! associated `const ENABLED`, so the default [`NullSink`]
 //! instantiation monomorphizes to *exactly* the code that existed
 //! before events — no trait objects, no branches, no dead stores. The
-//! `spt bench` suite runs the `NullSink` path and is checked against
-//! the committed baseline, which is the enforcement of that guarantee.
+//! perfbench `sweep` workload runs the `NullSink` path, and its
+//! same-host interleaved A/B against the parent commit
+//! (`perfbench/run.py compare`) is the enforcement of that guarantee.
 //!
 //! # Taxonomy
 //!

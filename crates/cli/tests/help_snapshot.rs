@@ -14,7 +14,7 @@ use std::process::Command;
 /// Must match `help::COMMANDS` in the binary (asserted indirectly: a
 /// command missing here would leave its page out of the fixture, and a
 /// page for an unknown command exits non-zero below).
-const COMMANDS: [&str; 15] = [
+const COMMANDS: [&str; 14] = [
     "affinity",
     "sweep",
     "delinquent",
@@ -23,7 +23,6 @@ const COMMANDS: [&str; 15] = [
     "adaptive",
     "selection",
     "dump",
-    "bench",
     "events",
     "trace",
     "report",
